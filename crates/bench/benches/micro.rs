@@ -153,7 +153,7 @@ fn bench_columnar(c: &mut Criterion) {
     g.bench_function("decode_pruned", |b| {
         b.iter(|| {
             let r = scoop_columnar::ColumnarReader::open_bytes(encoded.clone()).unwrap();
-            black_box(r.read_rows(Some(&["vid".to_string(), "index".to_string()])).unwrap())
+            black_box(r.read_rows(Some(&["vid".to_string(), "index".to_string()]), None).unwrap())
         })
     });
     g.finish();

@@ -9,8 +9,10 @@
 //!   `city LIKE 'Rot%'` predicate over generated meter CSV;
 //! * `compute_csv_parse`  — `CsvReader` typed parsing of the full schema;
 //! * `record_split`       — bare record splitting (the SWAR scanner alone);
-//! * `columnar_decode`    — `read_rows_selected` with a dictionary-coded
-//!   equality predicate over a generated columnar object.
+//! * `columnar_decode`    — the production columnar read path
+//!   (`ColumnarReader::read_rows`: zone-map group pruning, then row
+//!   selection) with a dictionary-coded equality predicate over a generated
+//!   columnar object.
 //!
 //! ```text
 //! cargo run -p scoop-bench --release --bin hotpath                 # table
@@ -215,7 +217,7 @@ fn run_benches(rows: usize, iters: usize) -> Vec<BenchResult> {
     let secs = best_of(iters, || {
         let reader = ColumnarReader::open_bytes(file.clone()).expect("open");
         let rows = reader
-            .read_rows_selected(Some(&cols), Some(&pred))
+            .read_rows(Some(&cols), Some(&pred))
             .expect("selected read");
         black_box(rows.len()) as u64
     });

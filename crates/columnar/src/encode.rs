@@ -77,11 +77,6 @@ impl<'a> Cursor<'a> {
             .ok_or_else(|| ScoopError::Corrupt("unexpected end of buffer".into()))
     }
 
-    /// Read exactly `n` raw bytes.
-    pub fn take_pub(&mut self, n: usize) -> Result<&'a [u8]> {
-        self.take(n)
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self
             .pos

@@ -5,19 +5,24 @@
 //! ```
 //!
 //! Like Parquet, all metadata (schema, chunk offsets/lengths, per-chunk
-//! min/max statistics, row counts) lives in a footer at the end of the
+//! zone-map statistics, row counts) lives in a footer at the end of the
 //! object, so a reader fetches the tail first and then only the chunks it
 //! needs — which is what makes column pruning cheap over ranged GETs.
+//!
+//! Chunk statistics are the same [`ColumnStats`] that describe CSV blocks,
+//! stored in the zonestats `colstat` text form, so one planner
+//! ([`scoop_csv::zonemap::may_match`]) prunes both formats.
 
 use crate::encode::{put_bytes, put_u32, put_u64, put_varint, Cursor};
+use scoop_common::zonestats::{decode_colstat, encode_colstat, ColumnStats};
 use scoop_common::{Result, ScoopError};
 use scoop_csv::schema::{DataType, Field, Schema};
-use scoop_csv::Value;
 
 /// Trailing magic.
 pub const MAGIC: &[u8; 4] = b"SCOL";
-/// Format version.
-pub const VERSION: u8 = 1;
+/// Format version; a footer of any other version is rejected (version 1
+/// stored per-chunk `Value` min/max, which no reader here decodes).
+pub const VERSION: u8 = 2;
 
 /// Location + stats of one column chunk.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,10 +31,14 @@ pub struct ChunkMeta {
     pub offset: u64,
     /// Encoded length in bytes.
     pub length: u64,
-    /// Minimum non-null value (Null when the chunk is all-null/empty).
-    pub min: Value,
-    /// Maximum non-null value.
-    pub max: Value,
+    /// Zone-map statistics over the chunk's cells.
+    pub stats: ColumnStats,
+}
+
+impl AsRef<ColumnStats> for ChunkMeta {
+    fn as_ref(&self) -> &ColumnStats {
+        &self.stats
+    }
 }
 
 /// Metadata of one row group.
@@ -55,42 +64,7 @@ impl Footer {
     pub fn num_rows(&self) -> u64 {
         self.row_groups.iter().map(|g| g.rows).sum()
     }
-}
 
-fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Int(i) => {
-            out.push(1);
-            put_varint(out, crate::encode::zigzag(*i));
-        }
-        Value::Float(f) => {
-            out.push(2);
-            out.extend_from_slice(&f.to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(3);
-            put_bytes(out, s.as_bytes());
-        }
-    }
-}
-
-fn get_value(c: &mut Cursor<'_>) -> Result<Value> {
-    let tag = c.bytes_one()?;
-    Ok(match tag {
-        0 => Value::Null,
-        1 => Value::Int(crate::encode::unzigzag(c.varint()?)),
-        2 => {
-            let mut raw = [0u8; 8];
-            raw.copy_from_slice(c.take_pub(8)?);
-            Value::Float(f64::from_le_bytes(raw))
-        }
-        3 => Value::Str(scoop_csv::SmallStr::from_utf8_lossy(c.bytes()?)),
-        other => return Err(ScoopError::Columnar(format!("bad value tag {other}"))),
-    })
-}
-
-impl Footer {
     /// Serialize the footer (without length/magic trailer).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -105,19 +79,22 @@ impl Footer {
             });
         }
         put_varint(&mut out, self.row_groups.len() as u64);
+        let mut stats = String::new();
         for g in &self.row_groups {
             put_varint(&mut out, g.rows);
             for c in &g.chunks {
                 put_u64(&mut out, c.offset);
                 put_u64(&mut out, c.length);
-                put_value(&mut out, &c.min);
-                put_value(&mut out, &c.max);
+                stats.clear();
+                encode_colstat(&c.stats, &mut stats);
+                put_bytes(&mut out, stats.as_bytes());
             }
         }
         out
     }
 
-    /// Parse a footer buffer.
+    /// Parse a footer buffer. Total: bytes from the store never panic and
+    /// never size an allocation beyond the bytes actually present.
     pub fn decode(data: &[u8]) -> Result<Footer> {
         let mut c = Cursor::new(data);
         let version = c.bytes_one()?;
@@ -126,8 +103,8 @@ impl Footer {
                 "unsupported columnar version {version}"
             )));
         }
-        let n_cols = c.varint()? as usize;
-        let mut fields = Vec::with_capacity(n_cols);
+        let n_cols = c.varint()?;
+        let mut fields = Vec::with_capacity(bounded(n_cols, &c));
         for _ in 0..n_cols {
             let name = String::from_utf8_lossy(c.bytes()?).into_owned();
             let dtype = match c.bytes_one()? {
@@ -140,17 +117,19 @@ impl Footer {
             };
             fields.push(Field::new(name, dtype));
         }
-        let n_groups = c.varint()? as usize;
-        let mut row_groups = Vec::with_capacity(n_groups);
+        let n_groups = c.varint()?;
+        let mut row_groups = Vec::with_capacity(bounded(n_groups, &c));
         for _ in 0..n_groups {
             let rows = c.varint()?;
-            let mut chunks = Vec::with_capacity(n_cols);
+            let mut chunks = Vec::with_capacity(bounded(n_cols, &c));
             for _ in 0..n_cols {
                 let offset = c.u64()?;
                 let length = c.u64()?;
-                let min = get_value(&mut c)?;
-                let max = get_value(&mut c)?;
-                chunks.push(ChunkMeta { offset, length, min, max });
+                let raw = std::str::from_utf8(c.bytes()?)
+                    .map_err(|_| ScoopError::Columnar("non-utf8 chunk stats".into()))?;
+                let stats = decode_colstat(raw)
+                    .map_err(|e| ScoopError::Columnar(format!("chunk stats: {e}")))?;
+                chunks.push(ChunkMeta { offset, length, stats });
             }
             row_groups.push(RowGroupMeta { rows, chunks });
         }
@@ -167,32 +146,27 @@ impl Footer {
     }
 }
 
-/// Compute min/max stats over a column slice.
-pub fn column_stats(values: &[Value]) -> (Value, Value) {
-    let mut min: Option<&Value> = None;
-    let mut max: Option<&Value> = None;
-    for v in values {
-        if v.is_null() {
-            continue;
-        }
-        if min.is_none_or(|m| v.total_cmp(m).is_lt()) {
-            min = Some(v);
-        }
-        if max.is_none_or(|m| v.total_cmp(m).is_gt()) {
-            max = Some(v);
-        }
-    }
-    (
-        min.cloned().unwrap_or(Value::Null),
-        max.cloned().unwrap_or(Value::Null),
-    )
+/// Capacity for `claimed` entries of at least one byte each: a peer's count
+/// never reserves more than the bytes left to read.
+fn bounded(claimed: u64, c: &Cursor<'_>) -> usize {
+    usize::try_from(claimed).unwrap_or(usize::MAX).min(c.remaining())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::writer::ColumnarWriter;
+    use scoop_csv::Value;
 
     fn footer() -> Footer {
+        let stats = |lo: &str, hi: &str, num: Option<(f64, f64)>| ColumnStats {
+            num,
+            str_min: Some(lo.into()),
+            str_max: Some(hi.into()),
+            has_null: true,
+            has_value: true,
+            bloom: Some(0x8001),
+        };
         Footer {
             schema: Schema::new(vec![
                 Field::new("vid", DataType::Str),
@@ -201,17 +175,11 @@ mod tests {
             row_groups: vec![RowGroupMeta {
                 rows: 100,
                 chunks: vec![
-                    ChunkMeta {
-                        offset: 0,
-                        length: 512,
-                        min: Value::Str("m1".into()),
-                        max: Value::Str("m99".into()),
-                    },
+                    ChunkMeta { offset: 0, length: 512, stats: stats("m1", "m99", None) },
                     ChunkMeta {
                         offset: 512,
                         length: 800,
-                        min: Value::Float(0.5),
-                        max: Value::Float(99.0),
+                        stats: stats("0.5", "99.0", Some((0.5, 99.0))),
                     },
                 ],
             }],
@@ -239,21 +207,38 @@ mod tests {
 
     #[test]
     fn stats_ignore_nulls() {
-        let (min, max) = column_stats(&[
-            Value::Null,
-            Value::Int(5),
-            Value::Int(-3),
-            Value::Null,
-        ]);
-        assert_eq!(min, Value::Int(-3));
-        assert_eq!(max, Value::Int(5));
-        let (min, max) = column_stats(&[Value::Null]);
-        assert!(min.is_null() && max.is_null());
+        let schema = Schema::new(vec![Field::new("n", DataType::Int)]);
+        let mut w = ColumnarWriter::new(schema);
+        for v in [Value::Null, Value::Int(5), Value::Int(-3), Value::Null] {
+            w.write_row(&[v]);
+        }
+        let data = w.finish();
+        let footer = crate::ColumnarReader::open_bytes(data).unwrap().footer().clone();
+        let s = &footer.row_groups[0].chunks[0].stats;
+        assert_eq!(s.num, Some((-3.0, 5.0)));
+        assert!(s.has_null && s.has_value);
+        assert_eq!((s.str_min.as_deref(), s.str_max.as_deref()), (Some("-3"), Some("5")));
     }
 
     #[test]
     fn decode_rejects_garbage() {
         assert!(Footer::decode(&[]).is_err());
         assert!(Footer::decode(&[99]).is_err());
+        // A version-1 footer (Value min/max stats) is refused, not misread.
+        let mut v1 = footer().encode();
+        v1[0] = 1;
+        assert!(matches!(Footer::decode(&v1), Err(ScoopError::Columnar(_))));
+        // 9 bytes claiming 2^56 columns: an error, not a 2^56-slot allocation.
+        let mut huge = vec![VERSION];
+        put_varint(&mut huge, 1 << 56);
+        assert!(Footer::decode(&huge).is_err());
+        let mut groups = vec![VERSION, 0];
+        put_varint(&mut groups, u64::MAX);
+        assert!(Footer::decode(&groups).is_err());
+        // Undecodable chunk stats (an unknown colstat tag).
+        let mut corrupt = footer().encode();
+        let at = corrupt.iter().position(|&b| b == b'm').unwrap();
+        corrupt[at] = b'?';
+        assert!(matches!(Footer::decode(&corrupt), Err(ScoopError::Columnar(_))));
     }
 }

@@ -9,14 +9,15 @@
 //! This crate reproduces exactly those properties:
 //!
 //! * [`mod@format`] — the on-disk layout: row groups of per-column chunks with a
-//!   footer (schema, offsets, per-chunk min/max stats), Parquet-style.
+//!   footer (schema, offsets, per-chunk zone-map stats), Parquet-style.
 //! * [`encode`] — column encodings: dictionary+RLE for strings, zigzag-varint
 //!   delta for integers, raw little-endian for floats, validity bitmaps for
 //!   NULLs.
 //! * [`writer`] / [`reader`] — write typed rows, read back with **column
 //!   pruning** (only selected chunks are fetched — the reader works over a
-//!   range-fetch callback so it composes with ranged object-store GETs) and
-//!   optional row-group skipping on min/max stats.
+//!   range-fetch callback so it composes with ranged object-store GETs),
+//!   row-group skipping on the zone maps (the same planner the CSV storlet
+//!   uses for blocks) and row selection inside the surviving groups.
 
 pub mod encode;
 pub mod format;

@@ -1,14 +1,16 @@
-//! Columnar reader with column pruning and row-group skipping.
+//! Columnar reader with column pruning, row-group skipping and row
+//! selection.
 //!
 //! The reader fetches through a range callback so the same code path serves
 //! local buffers and ranged object-store GETs. It counts the bytes it
 //! actually fetched — the quantity the Fig. 8 Scoop-vs-Parquet comparison
 //! turns on (compressed, column-pruned transfer vs storlet-filtered CSV).
 
-use crate::encode::{decode_column_batch, DecodedColumn};
-use crate::format::{Footer, MAGIC};
+use crate::encode::{decode_column_batch, Cursor, DecodedColumn};
+use crate::format::{Footer, RowGroupMeta, MAGIC};
 use bytes::Bytes;
 use scoop_common::{Result, ScoopError};
+use scoop_csv::zonemap::may_match;
 use scoop_csv::{Predicate, Schema, Value};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -25,22 +27,21 @@ pub struct ColumnarReader<'a> {
 
 impl<'a> ColumnarReader<'a> {
     /// Open via a range-fetch callback over an object of `total_len` bytes.
+    /// Whatever the fetch returns, a malformed object is an error, never a
+    /// panic.
     pub fn open(total_len: u64, fetch: FetchFn<'a>) -> Result<ColumnarReader<'a>> {
-        if total_len < 8 {
-            return Err(ScoopError::Columnar("object too small".into()));
+        let bad = |what: &str| ScoopError::Columnar(what.into());
+        let tail_start = total_len.checked_sub(8).ok_or_else(|| bad("object too small"))?;
+        let tail = fetch(tail_start, total_len)?;
+        if tail.len() != 8 || !tail.ends_with(MAGIC) {
+            return Err(bad("missing SCOL trailer"));
         }
-        let tail = fetch(total_len - 8, total_len)?;
-        let mut fetched = tail.len() as u64;
-        if &tail[4..8] != MAGIC {
-            return Err(ScoopError::Columnar("missing SCOL magic".into()));
-        }
-        let footer_len =
-            u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]) as u64;
-        if footer_len + 8 > total_len {
-            return Err(ScoopError::Columnar("footer length exceeds object".into()));
-        }
-        let footer_bytes = fetch(total_len - 8 - footer_len, total_len - 8)?;
-        fetched += footer_bytes.len() as u64;
+        let footer_len = u64::from(Cursor::new(&tail).u32()?);
+        let footer_start = tail_start
+            .checked_sub(footer_len)
+            .ok_or_else(|| bad("footer length exceeds object"))?;
+        let footer_bytes = fetch(footer_start, tail_start)?;
+        let fetched = 8u64.saturating_add(footer_bytes.len() as u64);
         let footer = Footer::decode(&footer_bytes)?;
         Ok(ColumnarReader { fetch, footer, bytes_fetched: Cell::new(fetched) })
     }
@@ -80,67 +81,24 @@ impl<'a> ColumnarReader<'a> {
 
     fn fetch_range(&self, start: u64, end: u64) -> Result<Bytes> {
         let data = (self.fetch)(start, end)?;
-        self.bytes_fetched.set(self.bytes_fetched.get() + data.len() as u64);
+        self.bytes_fetched
+            .set(self.bytes_fetched.get().saturating_add(data.len() as u64));
         Ok(data)
     }
 
-    /// Read full rows, pruning to `columns` when given (output column order
-    /// follows the request). Returns rows in file order.
-    pub fn read_rows(&self, columns: Option<&[String]>) -> Result<Vec<Vec<Value>>> {
-        self.read_rows_filtered(columns, None)
-    }
-
-    /// Like [`ColumnarReader::read_rows`], additionally skipping row groups
-    /// whose min/max statistics prove the predicate can never hold (the
-    /// Parquet-style stats-pruning extension; selection *within* surviving
-    /// groups still happens compute-side, as in the paper's comparison).
-    pub fn read_rows_filtered(
-        &self,
-        columns: Option<&[String]>,
-        predicate: Option<&Predicate>,
-    ) -> Result<Vec<Vec<Value>>> {
-        let schema = &self.footer.schema;
-        let col_indices: Vec<usize> = match columns {
-            None => (0..schema.len()).collect(),
-            Some(cols) => cols
-                .iter()
-                .map(|c| schema.resolve(c))
-                .collect::<Result<_>>()?,
-        };
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        for group in &self.footer.row_groups {
-            if let Some(pred) = predicate {
-                if group_provably_empty(schema, group, pred) {
-                    continue;
-                }
-            }
-            let cols = self.decode_group_columns(group, &col_indices)?;
-            let n = group.rows as usize;
-            // Per-column dense cursors: each cell materializes exactly once.
-            let mut dense = vec![0usize; cols.len()];
-            for r in 0..n {
-                let mut row = Vec::with_capacity(cols.len());
-                for (k, col) in cols.iter().enumerate() {
-                    if col.is_valid(r) {
-                        row.push(col.dense_value(dense[k]));
-                        dense[k] += 1;
-                    } else {
-                        row.push(Value::Null);
-                    }
-                }
-                rows.push(row);
-            }
-        }
-        Ok(rows)
-    }
-
-    /// Like [`ColumnarReader::read_rows_filtered`], but additionally applies
-    /// the predicate *row-wise inside* surviving groups, evaluated on the
-    /// batch-decoded columns before any row is materialized. Equality against
-    /// a string literal on a dictionary-encoded chunk compares dictionary
-    /// codes — one integer compare per row, no string materialization — and a
-    /// literal absent from the dictionary drops the whole group outright.
-    pub fn read_rows_selected(
+    /// Read rows in file order, pruned to `columns` when given (output
+    /// column order follows the request).
+    ///
+    /// With a predicate, row groups whose zone maps rule it out are never
+    /// fetched (the shared planner, [`scoop_csv::zonemap::may_match`]), and
+    /// inside surviving groups the predicate is evaluated on the
+    /// batch-decoded columns before any row is materialized. Equality
+    /// against a string literal on a dictionary-encoded chunk compares
+    /// dictionary codes, and a literal absent from the dictionary drops the
+    /// whole group. The result is a superset of the matching rows (NULL
+    /// comparisons read as false, then `NOT` flips them), so callers still
+    /// apply the full predicate.
+    pub fn read_rows(
         &self,
         columns: Option<&[String]>,
         predicate: Option<&Predicate>,
@@ -162,12 +120,11 @@ impl<'a> ColumnarReader<'a> {
         }
         needed.sort_unstable();
         needed.dedup();
+        let names = schema.names();
         let mut rows: Vec<Vec<Value>> = Vec::new();
         for group in &self.footer.row_groups {
-            if let Some(pred) = predicate {
-                if group_provably_empty(schema, group, pred) {
-                    continue;
-                }
+            if predicate.is_some_and(|p| !may_match(p, &names, &group.chunks)) {
+                continue;
             }
             let decoded = self.decode_group_columns(group, &needed)?;
             let by_index: HashMap<usize, &DecodedColumn> =
@@ -188,9 +145,10 @@ impl<'a> ColumnarReader<'a> {
                     })
                 })
                 .collect::<Result<_>>()?;
+            // Per-column dense cursors: each kept cell materializes once.
             let mut dense = vec![0usize; proj.len()];
-            for r in 0..n {
-                if select.get(r).copied().unwrap_or(false) {
+            for (r, &keep) in select.iter().enumerate() {
+                if keep {
                     rows.push(
                         proj.iter()
                             .zip(&dense)
@@ -204,9 +162,9 @@ impl<'a> ColumnarReader<'a> {
                             .collect(),
                     );
                 }
-                for (k, col) in proj.iter().enumerate() {
+                for (k, col) in dense.iter_mut().zip(&proj) {
                     if col.is_valid(r) {
-                        dense[k] += 1;
+                        *k = k.saturating_add(1);
                     }
                 }
             }
@@ -217,7 +175,7 @@ impl<'a> ColumnarReader<'a> {
     /// Fetch and batch-decode the chunks of `indices` for one row group.
     fn decode_group_columns(
         &self,
-        group: &crate::format::RowGroupMeta,
+        group: &RowGroupMeta,
         indices: &[usize],
     ) -> Result<Vec<DecodedColumn>> {
         let mut cols = Vec::with_capacity(indices.len());
@@ -225,7 +183,10 @@ impl<'a> ColumnarReader<'a> {
             let chunk = group.chunks.get(ci).ok_or_else(|| {
                 ScoopError::Columnar("column index out of range".into())
             })?;
-            let data = self.fetch_range(chunk.offset, chunk.offset + chunk.length)?;
+            let end = chunk.offset.checked_add(chunk.length).ok_or_else(|| {
+                ScoopError::Columnar("chunk extent overflows".into())
+            })?;
+            let data = self.fetch_range(chunk.offset, end)?;
             cols.push(decode_column_batch(&data)?);
         }
         Ok(cols)
@@ -284,7 +245,13 @@ fn selection(
                     None => {}
                 }
             }
-            leaf(column, n, |x| x.sql_cmp(v) == Some(Ordering::Equal))
+            // Catalyst pushes a wildcard-free `LIKE 'lit'` as `Eq(col, 'lit')`,
+            // and LIKE reads a number as its text, so a string literal also
+            // keeps number cells whose text equals it.
+            leaf(column, n, |x| match (x, v) {
+                (Value::Int(_) | Value::Float(_), Value::Str(lit)) => text_of(x) == lit.as_str(),
+                _ => x.sql_eq(v),
+            })
         }
         Predicate::Ne(c, v) => leaf(col(c)?, n, |x| {
             matches!(x.sql_cmp(v), Some(o) if o != Ordering::Equal)
@@ -343,62 +310,6 @@ fn text_of(v: &Value) -> String {
     }
 }
 
-/// True when the row group's stats prove no row can satisfy the predicate.
-/// Conservative: unknown shapes return false (cannot skip).
-fn group_provably_empty(
-    schema: &Schema,
-    group: &crate::format::RowGroupMeta,
-    pred: &Predicate,
-) -> bool {
-    use std::cmp::Ordering;
-    let stats = |col: &str| -> Option<(&Value, &Value)> {
-        let i = schema.index_of(col)?;
-        let c = &group.chunks[i];
-        if c.min.is_null() || c.max.is_null() {
-            return None;
-        }
-        Some((&c.min, &c.max))
-    };
-    match pred {
-        Predicate::Eq(c, v) => match stats(c) {
-            Some((min, max)) => {
-                v.sql_cmp(min) == Some(Ordering::Less) || v.sql_cmp(max) == Some(Ordering::Greater)
-            }
-            None => false,
-        },
-        Predicate::Lt(c, v) => {
-            matches!(stats(c), Some((min, _)) if min.sql_cmp(v) != Some(Ordering::Less))
-        }
-        Predicate::Le(c, v) => {
-            matches!(stats(c), Some((min, _)) if min.sql_cmp(v) == Some(Ordering::Greater))
-        }
-        Predicate::Gt(c, v) => {
-            matches!(stats(c), Some((_, max)) if max.sql_cmp(v) != Some(Ordering::Greater))
-        }
-        Predicate::Ge(c, v) => {
-            matches!(stats(c), Some((_, max)) if max.sql_cmp(v) == Some(Ordering::Less))
-        }
-        Predicate::StartsWith(c, prefix) => match stats(c) {
-            // All values < prefix or all values >= prefix-successor.
-            Some((min, max)) => {
-                let (Value::Str(lo), Value::Str(hi)) = (min, max) else {
-                    return false;
-                };
-                hi.as_str() < prefix.as_str()
-                    || !lo.starts_with(prefix.as_str()) && lo.as_str() > prefix.as_str()
-            }
-            None => false,
-        },
-        Predicate::And(a, b) => {
-            group_provably_empty(schema, group, a) || group_provably_empty(schema, group, b)
-        }
-        Predicate::Or(a, b) => {
-            group_provably_empty(schema, group, a) && group_provably_empty(schema, group, b)
-        }
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,12 +337,12 @@ mod tests {
     fn column_pruning_fetches_fewer_bytes() {
         let data = sample();
         let full = ColumnarReader::open_bytes(data.clone()).unwrap();
-        let all = full.read_rows(None).unwrap();
+        let all = full.read_rows(None, None).unwrap();
         assert_eq!(all.len(), 30);
         let full_bytes = full.bytes_fetched();
 
         let pruned = ColumnarReader::open_bytes(data).unwrap();
-        let only_vid = pruned.read_rows(Some(&["vid".to_string()])).unwrap();
+        let only_vid = pruned.read_rows(Some(&["vid".to_string()]), None).unwrap();
         assert_eq!(only_vid.len(), 30);
         assert_eq!(only_vid[0].len(), 1);
         assert!(
@@ -445,9 +356,9 @@ mod tests {
     fn pruned_read_matches_full_read() {
         let data = sample();
         let r = ColumnarReader::open_bytes(data).unwrap();
-        let full = r.read_rows(None).unwrap();
+        let full = r.read_rows(None, None).unwrap();
         let pruned = r
-            .read_rows(Some(&["index".to_string(), "vid".to_string()]))
+            .read_rows(Some(&["index".to_string(), "vid".to_string()]), None)
             .unwrap();
         for (f, p) in full.iter().zip(&pruned) {
             assert_eq!(p[0], f[2]);
@@ -455,33 +366,36 @@ mod tests {
         }
     }
 
+    /// Bytes a read fetches beyond the footer.
+    fn chunk_bytes(pred: &Predicate) -> (usize, u64) {
+        let r = ColumnarReader::open_bytes(sample()).unwrap();
+        let footer = r.bytes_fetched();
+        let rows = r.read_rows(Some(&["date".to_string()]), Some(pred)).unwrap();
+        (rows.len(), r.bytes_fetched() - footer)
+    }
+
     #[test]
     fn stats_skip_row_groups() {
-        let data = sample();
-        let r = ColumnarReader::open_bytes(data).unwrap();
+        // Every group's date chunk has the same size, so a read that fetches
+        // a third of the unfiltered bytes touched one group of three.
+        let all = Predicate::IsNotNull("date".into());
+        let (rows, full) = chunk_bytes(&all);
+        assert_eq!(rows, 30);
         // date '2015-03-01' only in the last group of 10.
         let pred = Predicate::Eq("date".into(), Value::Str("2015-03-01".into()));
-        let rows = r
-            .read_rows_filtered(Some(&["date".to_string()]), Some(&pred))
-            .unwrap();
-        // Skipping is group-granular: the matching group has 10 rows.
-        assert_eq!(rows.len(), 10);
-        assert!(rows.iter().all(|r| r[0] == Value::Str("2015-03-01".into())));
-
-        // Numeric range that excludes everything.
+        assert_eq!(chunk_bytes(&pred), (10, full / 3));
+        // Numeric range that excludes everything: no chunk is fetched.
         let pred = Predicate::Gt("index".into(), Value::Float(1e9));
-        let rows = r.read_rows_filtered(None, Some(&pred)).unwrap();
-        assert!(rows.is_empty());
+        assert_eq!(chunk_bytes(&pred), (0, 0));
     }
 
     #[test]
     fn prefix_skip() {
-        let data = sample();
-        let r = ColumnarReader::open_bytes(data).unwrap();
+        let (_, full) = chunk_bytes(&Predicate::IsNotNull("date".into()));
         let pred = Predicate::StartsWith("date".into(), "2019".into());
-        assert!(r.read_rows_filtered(None, Some(&pred)).unwrap().is_empty());
+        assert_eq!(chunk_bytes(&pred), (0, 0));
         let pred = Predicate::StartsWith("date".into(), "2015-01".into());
-        assert_eq!(r.read_rows_filtered(None, Some(&pred)).unwrap().len(), 10);
+        assert_eq!(chunk_bytes(&pred), (10, full / 3));
     }
 
     #[test]
@@ -490,34 +404,35 @@ mod tests {
         // vid cycles m0..m3: "m2" is dictionary-encoded in every group.
         let pred = Predicate::Eq("vid".into(), Value::Str("m2".into()));
         let rows = r
-            .read_rows_selected(
-                Some(&["vid".to_string(), "index".to_string()]),
-                Some(&pred),
-            )
+            .read_rows(Some(&["vid".to_string(), "index".to_string()]), Some(&pred))
             .unwrap();
         assert_eq!(rows.len(), 7);
         assert!(rows.iter().all(|row| row[0] == Value::Str("m2".into())));
         // A literal absent from every dictionary yields nothing.
         let pred = Predicate::Eq("vid".into(), Value::Str("ghost".into()));
-        assert!(r.read_rows_selected(None, Some(&pred)).unwrap().is_empty());
+        assert!(r.read_rows(None, Some(&pred)).unwrap().is_empty());
         // Numeric comparison selects row-wise, not group-wise.
         let pred = Predicate::Gt("index".into(), Value::Float(24.5));
-        let rows = r
-            .read_rows_selected(Some(&["index".to_string()]), Some(&pred))
-            .unwrap();
+        let rows = r.read_rows(Some(&["index".to_string()]), Some(&pred)).unwrap();
         assert_eq!(rows.len(), 5);
+        // A pushed `index LIKE '24.0'` arrives as a string equality and must
+        // keep the number whose text matches.
+        let pred = Predicate::Eq("index".into(), Value::Str("24.0".into()));
+        let rows = r.read_rows(Some(&["index".to_string()]), Some(&pred)).unwrap();
+        assert_eq!(rows, vec![vec![Value::Float(24.0)]]);
     }
 
     #[test]
     fn selected_matches_post_filtered_rows() {
         let r = ColumnarReader::open_bytes(sample()).unwrap();
         let pred = Predicate::Eq("date".into(), Value::Str("2015-02-01".into()));
-        let coarse = r.read_rows_filtered(None, Some(&pred)).unwrap();
-        let manual: Vec<Vec<Value>> = coarse
+        let manual: Vec<Vec<Value>> = r
+            .read_rows(None, None)
+            .unwrap()
             .into_iter()
             .filter(|row| row[1] == Value::Str("2015-02-01".into()))
             .collect();
-        let selected = r.read_rows_selected(None, Some(&pred)).unwrap();
+        let selected = r.read_rows(None, Some(&pred)).unwrap();
         assert_eq!(selected, manual);
         assert_eq!(selected.len(), 10);
     }
@@ -530,9 +445,54 @@ mod tests {
         );
     }
 
+    /// Open over `data` through a fetch that serves at most `cap` bytes.
+    fn open_capped(data: Bytes, cap: u64) -> Result<ColumnarReader<'static>> {
+        let len = data.len() as u64;
+        ColumnarReader::open(
+            len,
+            Box::new(move |s, e| {
+                let (s, e) = (s.min(len), e.min(len).min(s.saturating_add(cap)));
+                Ok(data.slice(s as usize..e.max(s) as usize))
+            }),
+        )
+    }
+
+    /// Replace the footer of `file` with `footer`, keeping the chunk bytes.
+    fn with_footer(file: &Bytes, footer: &[u8]) -> Bytes {
+        let old = u32::from_le_bytes(file[file.len() - 8..file.len() - 4].try_into().unwrap());
+        let mut out = file[..file.len() - 8 - old as usize].to_vec();
+        out.extend_from_slice(footer);
+        out.extend_from_slice(&(footer.len() as u32).to_le_bytes());
+        out.extend_from_slice(MAGIC);
+        Bytes::from(out)
+    }
+
+    #[test]
+    fn hostile_objects_error_without_panicking() {
+        let is_columnar = |r: Result<ColumnarReader<'_>>| {
+            matches!(r, Err(ScoopError::Columnar(_) | ScoopError::Corrupt(_)))
+        };
+        // A store that returns fewer tail bytes than asked for.
+        assert!(is_columnar(open_capped(sample(), 3)));
+        // A 9-byte footer claiming 2^56 columns.
+        let mut huge = vec![crate::format::VERSION];
+        crate::encode::put_varint(&mut huge, 1 << 56);
+        assert!(is_columnar(ColumnarReader::open_bytes(with_footer(&sample(), &huge))));
+        // A version-1 footer.
+        let file = sample();
+        let mut v1 = ColumnarReader::open_bytes(file.clone()).unwrap().footer().encode();
+        v1[0] = 1;
+        assert!(is_columnar(ColumnarReader::open_bytes(with_footer(&file, &v1))));
+        // A chunk whose offset + length overflows u64.
+        let mut footer = ColumnarReader::open_bytes(file.clone()).unwrap().footer().clone();
+        footer.row_groups[0].chunks[0].offset = u64::MAX;
+        let r = ColumnarReader::open_bytes(with_footer(&file, &footer.encode())).unwrap();
+        assert!(matches!(r.read_rows(None, None), Err(ScoopError::Columnar(_))));
+    }
+
     #[test]
     fn unknown_column_errors() {
         let r = ColumnarReader::open_bytes(sample()).unwrap();
-        assert!(r.read_rows(Some(&["ghost".to_string()])).is_err());
+        assert!(r.read_rows(Some(&["ghost".to_string()]), None).is_err());
     }
 }

@@ -1,9 +1,11 @@
 //! Columnar writer: typed rows → encoded object bytes.
 
 use crate::encode::encode_column;
-use crate::format::{column_stats, ChunkMeta, Footer, RowGroupMeta};
+use crate::format::{ChunkMeta, Footer, RowGroupMeta};
 use bytes::Bytes;
+use scoop_common::zonestats::ColumnStats;
 use scoop_csv::{Schema, Value};
+use std::fmt::Write as _;
 
 /// Default rows per row group (Parquet defaults to ~1M; smaller groups keep
 /// laptop-scale experiments granular).
@@ -44,7 +46,7 @@ impl ColumnarWriter {
         for (i, col) in self.pending.iter_mut().enumerate() {
             col.push(row.get(i).cloned().unwrap_or(Value::Null));
         }
-        if self.pending[0].len() >= self.row_group_rows {
+        if self.pending.first().map_or(0, Vec::len) >= self.row_group_rows {
             self.flush_group();
         }
     }
@@ -55,14 +57,14 @@ impl ColumnarWriter {
             return;
         }
         let mut chunks = Vec::with_capacity(self.pending.len());
+        let (mut text, mut distinct) = (String::new(), Vec::new());
         for col in &mut self.pending {
-            let (min, max) = column_stats(col);
+            let stats = chunk_stats(col, &mut text, &mut distinct);
             let encoded = encode_column(col);
             chunks.push(ChunkMeta {
                 offset: self.body.len() as u64,
                 length: encoded.len() as u64,
-                min,
-                max,
+                stats,
             });
             self.body.extend_from_slice(&encoded);
             col.clear();
@@ -77,6 +79,41 @@ impl ColumnarWriter {
         footer.write_trailer(&mut self.body);
         Bytes::from(self.body)
     }
+}
+
+/// Zone-map stats over one chunk's cells, built with the same `observe` →
+/// `seal` steps as a CSV block. Each non-NULL cell is observed as its
+/// `Display` text (`scoop_csv::zonemap` explains why that is sound) with its
+/// typed numeric reading: a `Str` cell never compares with a number, so it
+/// is not parsed. A typed empty string is a value, not NULL. `text` and
+/// `distinct` are reused scratch, so the per-cell work allocates nothing.
+fn chunk_stats(values: &[Value], text: &mut String, distinct: &mut Vec<String>) -> ColumnStats {
+    // `encode_column` stores a column that mixes Int and Float cells (and no
+    // Str) as floats, so observe its Int cells as the floats read back.
+    let ints_as_floats = values.iter().any(|v| matches!(v, Value::Float(_)))
+        && !values.iter().any(|v| matches!(v, Value::Str(_)));
+    let mut stats = ColumnStats::default();
+    for v in values {
+        let (cell, num) = match v {
+            Value::Null => {
+                stats.has_null = true;
+                continue;
+            }
+            Value::Str(s) => (s.as_str(), None),
+            number => {
+                text.clear();
+                // Writing into a String cannot fail.
+                let _ = match number {
+                    Value::Int(i) if ints_as_floats => write!(text, "{}", Value::Float(*i as f64)),
+                    _ => write!(text, "{number}"),
+                };
+                (text.as_str(), number.as_f64())
+            }
+        };
+        stats.observe_value(cell, num, distinct);
+    }
+    stats.seal(distinct);
+    stats
 }
 
 #[cfg(test)]
@@ -112,7 +149,7 @@ mod tests {
         let reader = ColumnarReader::open_bytes(data).unwrap();
         assert_eq!(reader.num_rows(), 25);
         assert_eq!(reader.footer().row_groups.len(), 4);
-        let back = reader.read_rows(None).unwrap();
+        let back = reader.read_rows(None, None).unwrap();
         assert_eq!(back, rows);
     }
 
@@ -122,7 +159,7 @@ mod tests {
         let data = w.finish();
         let reader = ColumnarReader::open_bytes(data).unwrap();
         assert_eq!(reader.num_rows(), 0);
-        assert!(reader.read_rows(None).unwrap().is_empty());
+        assert!(reader.read_rows(None, None).unwrap().is_empty());
     }
 
     #[test]

@@ -86,9 +86,9 @@ proptest! {
         let data = w.finish();
         let r = ColumnarReader::open_bytes(data).unwrap();
         prop_assert_eq!(r.num_rows() as usize, n_rows);
-        let full = r.read_rows(None).unwrap();
+        let full = r.read_rows(None, None).unwrap();
         prop_assert_eq!(&full, &rows);
-        let pruned = r.read_rows(Some(&["n".to_string(), "vid".to_string()])).unwrap();
+        let pruned = r.read_rows(Some(&["n".to_string(), "vid".to_string()]), None).unwrap();
         for (p, orig) in pruned.iter().zip(&rows) {
             prop_assert_eq!(&p[0], &orig[2]);
             prop_assert_eq!(&p[1], &orig[0]);

@@ -16,9 +16,11 @@
 //! to a full scan. Everything here is *advisory* — a decoding failure or a
 //! missing column never makes a query wrong, only slower.
 //!
+//! The same per-column stats also describe the chunks of a columnar row
+//! group (`scoop_columnar::format`), so one planner serves both formats.
 //! This module holds the data model and codec only; predicate pruning lives
-//! next to the predicate type (`scoop_storlets::planner`), keeping
-//! `scoop_common` free of CSV dependencies.
+//! next to the predicate type (`scoop_csv::zonemap`), keeping `scoop_common`
+//! free of CSV dependencies.
 
 use crate::hash::hash64;
 use crate::{Result, ScoopError};
@@ -59,6 +61,12 @@ pub struct ColumnStats {
     pub bloom: Option<u64>,
 }
 
+impl AsRef<ColumnStats> for ColumnStats {
+    fn as_ref(&self) -> &ColumnStats {
+        self
+    }
+}
+
 /// One record-aligned byte block.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BlockStats {
@@ -96,15 +104,25 @@ pub fn bloom_mask(value: &str) -> u64 {
 }
 
 impl ColumnStats {
-    /// Fold one field value (raw bytes, already unquoted) into the stats.
-    /// `distinct` is the builder-side scratch set for bloom construction.
+    /// Fold one raw CSV field (already unquoted) into the stats: an empty
+    /// field is NULL. `distinct` is the caller's scratch set for bloom
+    /// construction, folded in by [`Self::seal`].
     pub fn observe(&mut self, field: &str, distinct: &mut Vec<String>) {
         if field.is_empty() {
             self.has_null = true;
-            return;
+        } else {
+            self.observe_value(field, field.parse().ok(), distinct);
         }
+    }
+
+    /// Fold one non-NULL value given as its text and numeric reading. For a
+    /// raw field `num` is what the text parses to; a typed cell passes its
+    /// own number (`Value::as_f64`), which is what its text parses back to.
+    /// Unlike [`Self::observe`], empty text counts as a value: a typed empty
+    /// string is not NULL.
+    pub fn observe_value(&mut self, text: &str, num: Option<f64>, distinct: &mut Vec<String>) {
         self.has_value = true;
-        if let Ok(v) = field.parse::<f64>() {
+        if let Some(v) = num {
             if !v.is_nan() {
                 self.num = Some(match self.num {
                     None => (v, v),
@@ -112,43 +130,57 @@ impl ColumnStats {
                 });
             }
         }
-        if self.str_min.as_deref().is_none_or(|m| field < m) {
+        if self.str_min.as_deref().is_none_or(|m| text < m) {
             // Eager truncation is sound for the *min*: a prefix only lowers
             // the bound further.
-            self.str_min = Some(truncate_prefix(field));
+            assign(&mut self.str_min, truncate_prefix(text));
         }
         // The max is tracked exactly while the block is open — truncating
         // here would be unsound (a prefix is below the true max), and
         // poisoning to `None` here could be undone by a later smaller value.
         // [`Self::seal`] drops overlong maxima once the block closes.
-        if self.str_max.as_deref().is_none_or(|m| field > m) {
-            self.str_max = Some(field.to_string());
+        if self.str_max.as_deref().is_none_or(|m| text > m) {
+            assign(&mut self.str_max, text);
         }
-        if distinct.len() <= BLOOM_MAX_DISTINCT && !distinct.iter().any(|d| d == field) {
-            distinct.push(field.to_string());
+        if distinct.len() <= BLOOM_MAX_DISTINCT && !distinct.iter().any(|d| d == text) {
+            distinct.push(text.to_string());
         }
     }
 
-    /// Close the stats for serialization: an overlong exact max becomes
-    /// "unknown" (`None`) since only a prefix could be stored and a prefix
-    /// of the max is not an upper bound.
-    pub fn seal(&mut self) {
+    /// Close the stats for serialization and reset `distinct` for the next
+    /// block. An overlong exact max becomes "unknown" (`None`), since only a
+    /// prefix could be stored and a prefix of the max is not an upper bound.
+    /// A block that stayed under [`BLOOM_MAX_DISTINCT`] distinct values gets
+    /// its bloom digest.
+    pub fn seal(&mut self, distinct: &mut Vec<String>) {
         if self.str_max.as_ref().is_some_and(|m| m.len() > MAX_STRING_STAT) {
             self.str_max = None;
         }
+        if !distinct.is_empty() && distinct.len() <= BLOOM_MAX_DISTINCT {
+            self.bloom = Some(distinct.iter().fold(0u64, |m, v| m | bloom_mask(v)));
+        }
+        distinct.clear();
+    }
+}
+
+/// Overwrite a string bound in place, reusing its allocation.
+fn assign(slot: &mut Option<String>, text: &str) {
+    match slot {
+        Some(s) => {
+            s.clear();
+            s.push_str(text);
+        }
+        None => *slot = Some(text.to_string()),
     }
 }
 
 /// Truncate to a char-boundary prefix of at most [`MAX_STRING_STAT`] bytes.
-fn truncate_prefix(s: &str) -> String {
-    if s.len() <= MAX_STRING_STAT {
-        return s.to_string();
-    }
-    let mut end = MAX_STRING_STAT;
+fn truncate_prefix(s: &str) -> &str {
+    let mut end = s.len().min(MAX_STRING_STAT);
     while end > 0 && !s.is_char_boundary(end) {
         end = end.saturating_sub(1);
     }
-    s.get(..end).unwrap_or("").to_string()
+    s.get(..end).unwrap_or("")
 }
 
 /// Incrementally builds [`ObjectStats`] as records stream through the
@@ -225,11 +257,7 @@ impl StatsBuilder {
         );
         done.end = self.offset;
         for (col, distinct) in done.columns.iter_mut().zip(&mut self.cur_distinct) {
-            col.seal();
-            if !distinct.is_empty() && distinct.len() <= BLOOM_MAX_DISTINCT {
-                col.bloom = Some(distinct.iter().fold(0u64, |m, v| m | bloom_mask(v)));
-            }
-            distinct.clear();
+            col.seal(distinct);
         }
         self.blocks.push(done);
     }
@@ -328,28 +356,7 @@ impl ObjectStats {
             out.push_str(&format!("s:{};e:{};r:{}", b.start, b.end, b.rows));
             for c in &b.columns {
                 out.push(';');
-                if let Some((lo, hi)) = c.num {
-                    out.push_str(&format!("n{},{}", fmt_f64(lo), fmt_f64(hi)));
-                }
-                if let Some(m) = &c.str_min {
-                    out.push('m');
-                    out.push_str(&esc(m));
-                    out.push(',');
-                }
-                if let Some(m) = &c.str_max {
-                    out.push('M');
-                    out.push_str(&esc(m));
-                    out.push(',');
-                }
-                if c.has_null {
-                    out.push('u');
-                }
-                if c.has_value {
-                    out.push('x');
-                }
-                if let Some(bloom) = c.bloom {
-                    out.push_str(&format!("b{bloom:x}"));
-                }
+                encode_colstat(c, &mut out);
             }
         }
         out
@@ -479,7 +486,35 @@ impl ObjectStats {
     }
 }
 
-fn decode_colstat(raw: &str) -> Result<ColumnStats> {
+/// Append one column's stats in the `colstat` form documented above. The
+/// columnar footer stores its per-chunk stats in this same form.
+pub fn encode_colstat(c: &ColumnStats, out: &mut String) {
+    if let Some((lo, hi)) = c.num {
+        out.push_str(&format!("n{},{}", fmt_f64(lo), fmt_f64(hi)));
+    }
+    if let Some(m) = &c.str_min {
+        out.push('m');
+        out.push_str(&esc(m));
+        out.push(',');
+    }
+    if let Some(m) = &c.str_max {
+        out.push('M');
+        out.push_str(&esc(m));
+        out.push(',');
+    }
+    if c.has_null {
+        out.push('u');
+    }
+    if c.has_value {
+        out.push('x');
+    }
+    if let Some(bloom) = c.bloom {
+        out.push_str(&format!("b{bloom:x}"));
+    }
+}
+
+/// Decode one `colstat`. Total: malformed input is an error, never a panic.
+pub fn decode_colstat(raw: &str) -> Result<ColumnStats> {
     let bad = |what: &str| ScoopError::InvalidRequest(format!("stats colstat: {what}"));
     let mut c = ColumnStats::default();
     let bytes = raw.as_bytes();
@@ -632,7 +667,7 @@ mod tests {
         let long = "z".repeat(40);
         c.observe(&long, &mut d);
         c.observe("aa", &mut d);
-        c.seal();
+        c.seal(&mut d);
         // min: truncated prefix (sound lower bound); max: dropped (a prefix
         // would claim values above the true max are impossible), and a later
         // smaller value must not resurrect a bounded max.
@@ -642,8 +677,22 @@ mod tests {
         let mut c = ColumnStats::default();
         c.observe("bb", &mut d);
         c.observe("cc", &mut d);
-        c.seal();
+        c.seal(&mut d);
         assert_eq!(c.str_max.as_deref(), Some("cc"));
+    }
+
+    #[test]
+    fn typed_empty_string_is_a_value() {
+        let mut c = ColumnStats::default();
+        let mut d = Vec::new();
+        c.observe("", &mut d);
+        assert!(c.has_null && !c.has_value, "an empty CSV field is NULL");
+        c.observe_value("", None, &mut d);
+        c.seal(&mut d);
+        assert!(c.has_value);
+        assert_eq!((c.str_min.as_deref(), c.str_max.as_deref()), (Some(""), Some("")));
+        assert_eq!(c.bloom, Some(bloom_mask("")));
+        assert!(d.is_empty(), "seal resets the distinct set");
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The columnar relation — the Parquet arm of the Fig. 8 comparison.
 //!
-//! Column pruning happens at read time (only projected chunks are fetched);
-//! selection filtering stays compute-side exactly as the paper describes for
-//! Parquet ("Spark is in charge of carrying out the tasks of (de)compressing
-//! data and discarding columns"). Row-group stats skipping is available as an
-//! opt-in extension and is never reported as fully-handled filtering.
+//! Column pruning happens at read time (only projected chunks are fetched).
+//! The reader also skips row groups whose zone maps rule the predicate out
+//! and drops rows inside groups that cannot match, but the result is only a
+//! superset of the matches, so it is never reported as fully-handled
+//! filtering: the executor applies the full predicate compute-side, as the
+//! paper describes for Parquet ("Spark is in charge of carrying out the
+//! tasks of (de)compressing data and discarding columns").
 
 use crate::connector::StorageConnector;
 use crate::datasource::{PrunedFilteredScan, PrunedScan, RowStream, ScanOutput, ScanStats, TableScan};
@@ -20,8 +22,6 @@ pub struct ColumnarRelation {
     location: String,
     prefix: Option<String>,
     schema: Schema,
-    /// Opt-in row-group skipping on chunk min/max stats.
-    stats_pruning: bool,
 }
 
 impl ColumnarRelation {
@@ -30,7 +30,6 @@ impl ColumnarRelation {
         connector: Arc<dyn StorageConnector>,
         location: &str,
         prefix: Option<&str>,
-        stats_pruning: bool,
     ) -> Result<ColumnarRelation> {
         let mut objects = connector.list(location, prefix)?;
         objects.sort_by(|a, b| a.name.cmp(&b.name));
@@ -52,7 +51,6 @@ impl ColumnarRelation {
             location: location.to_string(),
             prefix: prefix.map(str::to_string),
             schema,
-            stats_pruning,
         })
     }
 
@@ -73,14 +71,13 @@ impl ColumnarRelation {
             partition.object_size,
             Box::new(move |s, e| conn.fetch_range(&loc, &name, s, e)),
         )?;
-        let pred = if self.stats_pruning { predicate } else { None };
-        let rows = reader.read_rows_filtered(columns, pred)?;
+        let rows = reader.read_rows(columns, predicate)?;
         let stream: RowStream = Box::new(rows.into_iter().map(Ok));
         Ok(ScanOutput {
             schema: scan_schema,
             rows: stream,
-            // Stats skipping is row-group-granular; the executor must still
-            // apply the full predicate.
+            // The reader keeps a superset of the matching rows; the executor
+            // must still apply the full predicate.
             stats: ScanStats { filters_handled: false },
         })
     }
@@ -145,7 +142,7 @@ mod tests {
             }
             conn.put("cols", &format!("part-{obj}.scol"), w.finish());
         }
-        let rel = ColumnarRelation::open(conn.clone(), "cols", None, true).unwrap();
+        let rel = ColumnarRelation::open(conn.clone(), "cols", None).unwrap();
         (conn, rel)
     }
 

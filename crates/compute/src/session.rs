@@ -110,7 +110,6 @@ pub struct Session {
     workers: usize,
     chunk_size: u64,
     pushdown: bool,
-    stats_pruning: bool,
     max_task_failures: u32,
     time_budget: Option<Duration>,
     tables: RwLock<HashMap<String, TableDef>>,
@@ -124,7 +123,6 @@ impl Session {
             workers: workers.max(1),
             chunk_size: DEFAULT_CHUNK_SIZE,
             pushdown: true,
-            stats_pruning: false,
             max_task_failures: DEFAULT_MAX_TASK_FAILURES,
             time_budget: None,
             tables: RwLock::new(HashMap::new()),
@@ -149,12 +147,6 @@ impl Session {
     /// Enable/disable pushdown (the with/without-Scoop switch).
     pub fn with_pushdown(mut self, enabled: bool) -> Session {
         self.pushdown = enabled;
-        self
-    }
-
-    /// Enable columnar row-group stats skipping (extension).
-    pub fn with_stats_pruning(mut self, enabled: bool) -> Session {
-        self.stats_pruning = enabled;
         self
     }
 
@@ -229,7 +221,6 @@ impl Session {
                     self.connector.clone(),
                     &def.location,
                     def.prefix.as_deref(),
-                    self.stats_pruning,
                 )?;
                 {
                     use crate::datasource::TableScan;
@@ -343,7 +334,6 @@ impl Session {
                     self.connector.clone(),
                     &def.location,
                     def.prefix.as_deref(),
-                    self.stats_pruning,
                 )?;
                 (Arc::new(rel), ExecutionMode::Columnar)
             }

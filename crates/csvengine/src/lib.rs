@@ -22,6 +22,8 @@
 //!   its compact header serialization.
 //! * [`filter`] — evaluation of a compiled pushdown spec against raw records;
 //!   the exact code the CSV storlet runs at storage nodes.
+//! * [`zonemap`] — the one predicate-vs-zone-map test, shared by the storlet
+//!   block planner and the columnar row-group reader.
 
 pub mod filter;
 pub mod pushdown;
@@ -34,6 +36,7 @@ pub mod split;
 pub mod value;
 pub mod view;
 pub mod writer;
+pub mod zonemap;
 
 pub use filter::CompiledSpec;
 pub use pushdown::{Predicate, PushdownSpec};
