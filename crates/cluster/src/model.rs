@@ -6,10 +6,9 @@
 //! derives the filter/parse costs from *measured* throughput of this repo's
 //! own storlet and CSV-parse code, preserving the testbed's core counts.
 
-use serde::{Deserialize, Serialize};
 
 /// Per-byte and fixed costs of the pipeline stages.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Storage-side cost to read + serve one raw byte (core-s/B). Fitted to
     /// the paper's plain-Swift storage CPU of ~1.25% while serving ~1.25 GB/s

@@ -3,10 +3,9 @@
 use crate::model::CostModel;
 use crate::topology::Topology;
 use scoop_common::timeseries::MetricsRegistry;
-use serde::{Deserialize, Serialize};
 
 /// Execution arm being simulated.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SimMode {
     /// Ingest-then-compute: every raw byte crosses the inter-cluster link.
     Vanilla,
@@ -26,7 +25,7 @@ pub enum SimMode {
 }
 
 /// One query execution to simulate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimJob {
     /// Raw (CSV) dataset bytes scanned by the query.
     pub dataset_bytes: u64,
@@ -39,7 +38,7 @@ pub struct SimJob {
 }
 
 /// Which constraint bound the pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bottleneck {
     /// The inter-cluster load-balancer link.
     Network,

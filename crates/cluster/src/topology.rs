@@ -1,9 +1,8 @@
 //! Cluster shapes.
 
-use serde::{Deserialize, Serialize};
 
 /// A homogeneous group of machines.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeGroup {
     /// Machines in the group.
     pub count: usize,
@@ -21,7 +20,7 @@ impl NodeGroup {
 }
 
 /// The disaggregated deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Topology {
     /// Spark workers (compute cluster).
     pub compute: NodeGroup,

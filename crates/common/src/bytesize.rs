@@ -5,15 +5,11 @@
 //! type keeps units honest (everything is decimal, matching how the paper and
 //! storage vendors quote sizes: 1 KB = 1000 B).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// A quantity of bytes. Wraps `u64`; arithmetic saturates on overflow.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteSize(pub u64);
 
 impl ByteSize {

@@ -5,11 +5,10 @@
 //! time series per node group (Spark workers, Swift proxies, Swift storage
 //! nodes, load balancer) through this module.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A single (time, value) series with monotone non-decreasing timestamps.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     /// Sample timestamps in seconds since the start of the experiment.
     pub t: Vec<f64>,
@@ -108,7 +107,7 @@ impl TimeSeries {
 ///
 /// Mirrors how collectd tags samples with host + plugin; we aggregate per node
 /// group because the figures report group averages.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     series: BTreeMap<(String, String), TimeSeries>,
 }

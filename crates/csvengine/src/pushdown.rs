@@ -10,7 +10,6 @@
 
 use crate::value::Value;
 use scoop_common::{Result, ScoopError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -19,7 +18,7 @@ use std::fmt;
 /// Mirrors the filter shapes Spark SQL hands to a `PrunedFilteredScan`
 /// implementation: comparisons, string matches, set membership, null tests
 /// and boolean combinators.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// `col = value`
     Eq(String, Value),
@@ -127,7 +126,7 @@ pub fn like_match(pattern: &str, text: &str) -> bool {
 }
 
 /// The full pushdown payload for one object request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PushdownSpec {
     /// Columns to project, in output order. `None` means all columns.
     pub columns: Option<Vec<String>>,

@@ -2,11 +2,10 @@
 
 use crate::value::Value;
 use scoop_common::{Result, ScoopError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The column types supported by the data model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 64-bit signed integer.
     Int,
@@ -27,7 +26,7 @@ impl fmt::Display for DataType {
 }
 
 /// A single named column.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Field {
     /// Column name (case-sensitive; SQL resolution lowercases at parse time).
     pub name: String,
@@ -43,7 +42,7 @@ impl Field {
 }
 
 /// An ordered collection of fields.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
     /// Ordered fields.
     pub fields: Vec<Field>,

@@ -234,11 +234,6 @@ impl fmt::Debug for SmallStr {
     }
 }
 
-// Marker impls for the offline serde stand-in (the derive emits no code,
-// but hand-rolled wire formats never route through serde anyway).
-impl serde::Serialize for SmallStr {}
-impl<'de> serde::Deserialize<'de> for SmallStr {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

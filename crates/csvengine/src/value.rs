@@ -7,7 +7,6 @@
 //! on ISO-8601 dates sorting textually.
 
 use crate::smallstr::SmallStr;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -16,7 +15,7 @@ use std::fmt;
 /// Strings are [`SmallStr`]: short values (every GridPocket meter field,
 /// including timestamps) are stored inline, so building and dropping typed
 /// rows on the ingest hot path does not touch the allocator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL / empty CSV field in a numeric column.
     Null,

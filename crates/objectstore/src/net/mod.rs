@@ -13,8 +13,7 @@
 //! * [`server`] — accept loop + worker pool in front of the proxies, with
 //!   keep-alive, slowloris guarding, and `Deadline`-derived socket windows.
 //! * [`pool`] — the client transport: checkout/checkin, idle reaping,
-//!   keep-alive reuse, pipelined range-GETs, and the wire→taxonomy error
-//!   mapping.
+//!   keep-alive reuse, and the wire→taxonomy error mapping.
 //! * [`chaos`] — wire-level fault application (RST, partial+stall,
 //!   slowloris, garbage frames, half-close) at the socket boundary, driven
 //!   by the cluster's [`FaultInjector`].

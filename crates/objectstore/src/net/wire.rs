@@ -235,9 +235,8 @@ pub fn encode_request(req: &Request) -> Result<Vec<u8>> {
 }
 
 /// Serialize a request frame from raw parts — the shared encoder behind
-/// [`encode_request`] and the non-object endpoints (container ops, `/info`)
-/// whose targets are not three-segment [`ObjectPath`]s. `target` must
-/// already be percent-encoded.
+/// [`encode_request`] and the pool, which addresses every endpoint (object
+/// or not) by [`encode_target`]. `target` must already be percent-encoded.
 pub fn encode_raw_request(
     method: Method,
     target: &str,
@@ -664,7 +663,7 @@ fn parse_start_line(line: &str) -> Result<StartLine> {
 ///
 /// The top-level segments `info`, `metrics`, `events` and `trace` are
 /// reserved endpoint namespaces and never parse as account names.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Target {
     /// `GET /info`: the telemetry snapshot endpoint (plain text).
     Info,
@@ -683,6 +682,23 @@ pub enum Target {
     },
     /// `/account/container/object`: an object request.
     Object(ObjectPath),
+}
+
+/// Encode the request target addressing `target`, each segment
+/// percent-escaped — the inverse of [`decode_target`] for every target it
+/// can return (an account named after a reserved namespace, or an empty
+/// trace ID, encodes but does not route).
+pub fn encode_target(target: &Target) -> String {
+    match target {
+        Target::Info => "/info".into(),
+        Target::Metrics => "/metrics".into(),
+        Target::Events => "/events".into(),
+        Target::Trace(id) => format!("/trace/{}", encode_segment(id)),
+        Target::Container { account, container } => {
+            format!("/{}/{}", encode_segment(account), encode_segment(container))
+        }
+        Target::Object(path) => encode_path(path),
+    }
 }
 
 /// Decode a request target into the endpoint it addresses.
@@ -737,24 +753,30 @@ pub fn decode_target(target: &str) -> Result<Target> {
     }
 }
 
-/// Assemble a [`Request`] from a decoded object-targeted head + body. The
-/// deadline budget header is converted back into a live [`Deadline`] and
-/// removed from the map (it is framing metadata, not a request header).
+/// Take the deadline budget header out of a decoded head's map and turn it
+/// back into a live [`Deadline`] (it is framing metadata, not a request
+/// header). No header means no deadline.
+pub fn take_deadline(headers_map: &mut Headers) -> Result<Deadline> {
+    match headers_map.remove(headers::DEADLINE_MS) {
+        Some(ms) => {
+            let ms: u64 = ms
+                .parse()
+                .map_err(|_| malformed("unparseable deadline budget"))?;
+            Ok(Deadline::within(Duration::from_millis(ms)))
+        }
+        None => Ok(Deadline::none()),
+    }
+}
+
+/// Assemble a [`Request`] from a decoded object-targeted head + body, the
+/// deadline taken out of the map by [`take_deadline`].
 pub fn request_from_parts(
     method: Method,
     path: ObjectPath,
     mut headers_map: Headers,
     body: Option<Bytes>,
 ) -> Result<Request> {
-    let deadline = match headers_map.remove(headers::DEADLINE_MS) {
-        Some(ms) => {
-            let ms: u64 = ms
-                .parse()
-                .map_err(|_| malformed("unparseable deadline budget"))?;
-            Deadline::within(Duration::from_millis(ms))
-        }
-        None => Deadline::none(),
-    };
+    let deadline = take_deadline(&mut headers_map)?;
     Ok(Request { method, path, headers: headers_map, body, deadline })
 }
 

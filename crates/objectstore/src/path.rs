@@ -6,11 +6,10 @@
 //! account and container names may not.
 
 use scoop_common::{Result, ScoopError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A fully-qualified object path.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectPath {
     /// Account (tenant) name, e.g. `AUTH_gridpocket`.
     pub account: String,

@@ -11,14 +11,17 @@ use crate::auth::AuthService;
 use crate::health::NodeHealth;
 use crate::hedge::{self, note_read_failure};
 use crate::middleware::Pipeline;
+use crate::net::wire::{self, Target};
 use crate::objserver::{ObjectServer, STAGE_HEADER, STAGE_PROXY};
 use crate::path::ObjectPath;
-use crate::request::{Method, Request, Response};
+use crate::request::{Headers, Method, Request, Response};
 use crate::ring::{DeviceId, Ring};
+use bytes::Bytes;
 use parking_lot::RwLock;
 use scoop_common::telemetry::{self, names, ScopedCounter};
-use scoop_common::{headers, stream, Result, ScoopError};
+use scoop_common::{headers, stream, Deadline, Result, ScoopError};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -296,6 +299,76 @@ impl ProxyServer {
         pipeline.execute(req, &|req: Request| self.route(req))
     }
 
+    /// The endpoint router both transports share: the in-process client
+    /// calls it directly, the TCP front end after decoding a frame. Object
+    /// requests run [`ProxyServer::handle`]; container operations and the
+    /// observability endpoints are served unauthenticated.
+    ///
+    /// Zone-map stats chunks (`x-object-meta-scoop-stats-*`) never leave
+    /// the proxy: they are dropped here, after the pipeline, on the way to
+    /// the client. The planner reads them below this exit (its HEAD runs
+    /// inside the pipeline), and an indexed object's chunks can outgrow a
+    /// response head on the wire.
+    pub fn serve(
+        &self,
+        method: Method,
+        target: Target,
+        headers_map: Headers,
+        body: Option<Bytes>,
+        deadline: Deadline,
+    ) -> Result<Response> {
+        let get_only = |endpoint: &str| match method {
+            Method::Get => Ok(()),
+            _ => Err(ScoopError::InvalidRequest(format!("{endpoint} endpoint is GET-only"))),
+        };
+        let json = |text: String| {
+            Response::ok(stream::once(Bytes::from(text)))
+                .with_header("content-type", "application/json")
+        };
+        match target {
+            Target::Info => {
+                get_only("info")?;
+                Ok(self.info())
+            }
+            Target::Metrics => {
+                get_only("metrics")?;
+                let text = telemetry::snapshot().to_prometheus();
+                Ok(Response::ok(stream::once(Bytes::from(text)))
+                    .with_header("content-type", "text/plain; version=0.0.4"))
+            }
+            Target::Trace(id) => {
+                get_only("trace")?;
+                Ok(json(telemetry::trace_to_json(&id)))
+            }
+            Target::Events => {
+                get_only("events")?;
+                Ok(json(telemetry::events_to_json(&telemetry::query_events())))
+            }
+            Target::Container { account, container } => match method {
+                Method::Put => {
+                    self.containers.create_container(&account, &container);
+                    Ok(Response::created())
+                }
+                Method::Get => {
+                    let prefix = headers_map.get(headers::LIST_PREFIX);
+                    let records = self.containers.list_objects(&account, &container, prefix)?;
+                    let listing = wire::encode_listing(&records);
+                    Ok(Response::ok(stream::once(Bytes::from(listing))))
+                }
+                _ => Err(ScoopError::InvalidRequest(format!(
+                    "unsupported container method {}",
+                    wire::method_name(method)
+                ))),
+            },
+            Target::Object(path) => {
+                let req = Request { method, path, headers: headers_map, body, deadline };
+                let mut resp = self.handle(req)?;
+                resp.headers.remove_prefix(headers::SCOOP_STATS_PREFIX);
+                Ok(resp)
+            }
+        }
+    }
+
     /// The `GET /info` endpoint: a plain-text dump of the process-wide
     /// telemetry snapshot (Swift's recon/info analogue).
     pub fn info(&self) -> Response {
@@ -561,6 +634,49 @@ impl ProxyServer {
     /// The shared container service (listings, container management).
     pub fn containers(&self) -> &ContainerService {
         &self.containers
+    }
+}
+
+/// The load balancer in front of the proxy tier (the testbed's HAProxy
+/// stand-in): one round-robin picker, shared by the cluster and its TCP
+/// front end, so both transports spread requests the same way.
+#[derive(Debug)]
+pub struct LoadBalancer {
+    proxies: Vec<Arc<ProxyServer>>,
+    next: AtomicUsize,
+}
+
+impl LoadBalancer {
+    /// Put `proxies` behind the balancer. An empty tier could serve
+    /// nothing, so it is rejected here rather than at the first request.
+    pub fn new(proxies: Vec<Arc<ProxyServer>>) -> Result<LoadBalancer> {
+        if proxies.is_empty() {
+            return Err(ScoopError::InvalidRequest("cannot serve zero proxies".into()));
+        }
+        Ok(LoadBalancer { proxies, next: AtomicUsize::new(0) })
+    }
+
+    /// Every proxy behind the balancer.
+    pub fn proxies(&self) -> &[Arc<ProxyServer>] {
+        &self.proxies
+    }
+
+    /// Round-robin proxy selection.
+    pub fn next_proxy(&self) -> Arc<ProxyServer> {
+        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.proxies.len();
+        self.proxies[i].clone() // lint:allow(i < len, and new() rejects an empty tier)
+    }
+
+    /// Route one request through the next proxy ([`ProxyServer::serve`]).
+    pub fn serve(
+        &self,
+        method: Method,
+        target: Target,
+        headers_map: Headers,
+        body: Option<Bytes>,
+        deadline: Deadline,
+    ) -> Result<Response> {
+        self.next_proxy().serve(method, target, headers_map, body, deadline)
     }
 }
 

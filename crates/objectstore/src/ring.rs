@@ -14,15 +14,14 @@
 
 use scoop_common::hash::hash64;
 use scoop_common::{Result, ScoopError};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Identifier of a storage device within the ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DeviceId(pub u32);
 
 /// A physical device participating in the ring.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Device {
     /// Stable identifier.
     pub id: DeviceId,
@@ -91,7 +90,7 @@ impl RingBuilder {
 }
 
 /// The built ring: partition → replica devices.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ring {
     part_power: u32,
     replicas: usize,

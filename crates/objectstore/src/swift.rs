@@ -11,20 +11,21 @@ use crate::backend::{DiskBackend, MemBackend, StorageBackend};
 use crate::fault::{ChaosBackend, FaultInjector, FaultPlan, FaultStatsSnapshot};
 use crate::health::{BreakerConfig, NodeHealth};
 use crate::middleware::Pipeline;
-use crate::net::{wire, HttpPool, NetHandle, NetOptions, NetServer, PoolConfig};
+use crate::net::wire::{self, Target};
+use crate::net::{HttpPool, NetHandle, NetOptions, NetServer, PoolConfig};
 use crate::objserver::{ObjectServer, UPLOAD_TOKEN_HEADER};
 use crate::path::ObjectPath;
-use crate::proxy::{ContainerService, ObjectRecord, ProxyServer};
+use crate::proxy::{ContainerService, LoadBalancer, ObjectRecord, ProxyServer};
 use crate::replication::{RepairReport, Replicator};
-use crate::request::{ByteRange, Headers, Method, Request, Response};
+use crate::request::{Headers, Method, Request, Response};
 use crate::ring::{DeviceId, Ring, RingBuilder};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use scoop_common::telemetry::{self, names};
-use scoop_common::{Deadline, Result, RetryPolicy, ScoopError};
+use scoop_common::{headers, stream, Deadline, Result, RetryPolicy, ScoopError};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -111,10 +112,11 @@ pub struct SwiftCluster {
     config: SwiftConfig,
     ring: Arc<RwLock<Ring>>,
     servers: Arc<HashMap<u32, Arc<ObjectServer>>>,
-    proxies: Vec<Arc<ProxyServer>>,
+    /// The proxies behind their one round-robin picker, shared with the
+    /// TCP front end.
+    balancer: Arc<LoadBalancer>,
     containers: Arc<ContainerService>,
     auth: Arc<AuthService>,
-    next_proxy: AtomicUsize,
     fault_injector: Option<Arc<FaultInjector>>,
     health: Option<Arc<NodeHealth>>,
     /// Lazily-started TCP front end (one per cluster, shared by every
@@ -123,7 +125,8 @@ pub struct SwiftCluster {
 }
 
 impl SwiftCluster {
-    /// Build a cluster from a config.
+    /// Build a cluster from a config. Zero proxies is an `InvalidRequest`:
+    /// such a cluster could serve nothing.
     pub fn new(config: SwiftConfig) -> Result<Arc<SwiftCluster>> {
         let mut builder = RingBuilder::new(config.part_power, config.replicas);
         let mut device_map: HashMap<u32, Vec<DeviceId>> = HashMap::new();
@@ -182,15 +185,15 @@ impl SwiftCluster {
                 Arc::new(proxy)
             })
             .collect();
+        let balancer = Arc::new(LoadBalancer::new(proxies)?);
 
         Ok(Arc::new(SwiftCluster {
             config,
             ring,
             servers,
-            proxies,
+            balancer,
             containers,
             auth,
-            next_proxy: AtomicUsize::new(0),
             fault_injector,
             health,
             net: Mutex::new(None),
@@ -210,8 +213,7 @@ impl SwiftCluster {
             return Ok(h.clone());
         }
         let handle = Arc::new(NetServer::serve(
-            self.proxies.clone(),
-            self.containers.clone(),
+            self.balancer.clone(),
             self.fault_injector.clone(),
             opts,
         )?);
@@ -238,7 +240,7 @@ impl SwiftCluster {
 
     /// Total read failovers to another replica, summed over all proxies.
     pub fn replica_failovers(&self) -> u64 {
-        self.proxies
+        self.proxies()
             .iter()
             .map(|p| p.stats.replica_failovers.get())
             .sum()
@@ -256,7 +258,7 @@ impl SwiftCluster {
 
     /// Hedge requests launched, summed over all proxies.
     pub fn hedged_gets(&self) -> u64 {
-        self.proxies
+        self.proxies()
             .iter()
             .map(|p| p.stats.hedged_gets.get())
             .sum()
@@ -265,7 +267,7 @@ impl SwiftCluster {
     /// Hedged reads won by a hedge (not the first replica), summed over
     /// all proxies.
     pub fn hedge_wins(&self) -> u64 {
-        self.proxies
+        self.proxies()
             .iter()
             .map(|p| p.stats.hedge_wins.get())
             .sum()
@@ -305,7 +307,7 @@ impl SwiftCluster {
 
     /// All proxies.
     pub fn proxies(&self) -> &[Arc<ProxyServer>] {
-        &self.proxies
+        self.balancer.proxies()
     }
 
     /// Install an object-stage middleware pipeline on every object server.
@@ -317,21 +319,15 @@ impl SwiftCluster {
 
     /// Install a proxy-stage middleware pipeline on every proxy.
     pub fn set_proxy_pipeline(&self, pipeline: Pipeline) {
-        for p in &self.proxies {
+        for p in self.proxies() {
             p.set_pipeline(pipeline.clone());
         }
     }
 
     /// Round-robin proxy selection (stands in for the testbed's HAProxy
-    /// load balancer).
+    /// load balancer); the TCP front end draws from the same picker.
     pub fn next_proxy(&self) -> Arc<ProxyServer> {
-        let i = self.next_proxy.fetch_add(1, Ordering::Relaxed) % self.proxies.len();
-        self.proxies[i].clone()
-    }
-
-    /// Handle a raw request through the load balancer.
-    pub fn handle(&self, req: Request) -> Result<Response> {
-        self.next_proxy().handle(req)
+        self.balancer.next_proxy()
     }
 
     /// Run a replication audit/repair pass.
@@ -381,25 +377,22 @@ impl SwiftCluster {
 impl std::fmt::Debug for SwiftCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SwiftCluster")
-            .field("proxies", &self.proxies.len())
+            .field("proxies", &self.proxies().len())
             .field("object_servers", &self.servers.len())
             .field("replicas", &self.config.replicas)
             .finish()
     }
 }
 
-/// How a [`SwiftClient`] reaches the proxy tier.
-#[derive(Clone)]
-enum Transport {
-    /// Direct in-process calls (the historical path; zero framing).
-    InProcess,
-    /// Real HTTP/1.1 frames over pooled loopback TCP connections.
-    Tcp(Arc<HttpPool>),
-}
-
 /// A client session bound to an account.
 #[derive(Clone)]
 pub struct SwiftClient {
+    /// The TCP transport: real HTTP/1.1 frames over pooled loopback
+    /// connections. `None` calls the proxy tier's router in-process.
+    /// Declared before `cluster` so a client holding the last cluster
+    /// reference closes its sockets before the front end shuts down (whose
+    /// workers would otherwise sit out their idle window on them).
+    tcp: Option<Arc<HttpPool>>,
     cluster: Arc<SwiftCluster>,
     account: String,
     token: Option<String>,
@@ -411,7 +404,6 @@ pub struct SwiftClient {
     /// Registry mirror of `retries` (registered at assembly so a snapshot
     /// always carries the metric, even before the first retry).
     retries_global: telemetry::Counter,
-    transport: Transport,
 }
 
 /// Process-wide upload counter: tokens must be unique across every client
@@ -425,13 +417,13 @@ impl SwiftClient {
         // so the existing e2e suites run unmodified over real sockets. A
         // failed listener bind falls back to in-process rather than
         // panicking inside test setup.
-        let transport = if std::env::var("SCOOP_TRANSPORT").map(|v| v == "tcp").unwrap_or(false) {
-            match cluster.serve_net(NetOptions::default()) {
-                Ok(h) => Transport::Tcp(HttpPool::new(h.addr(), PoolConfig::default())),
-                Err(_) => Transport::InProcess,
-            }
+        let tcp = if std::env::var("SCOOP_TRANSPORT").map(|v| v == "tcp").unwrap_or(false) {
+            cluster
+                .serve_net(NetOptions::default())
+                .ok()
+                .map(|h| HttpPool::new(h.addr(), PoolConfig::default()))
         } else {
-            Transport::InProcess
+            None
         };
         SwiftClient {
             cluster,
@@ -442,7 +434,7 @@ impl SwiftClient {
             deadline: Arc::new(Mutex::new(Deadline::none())),
             trace: Arc::new(Mutex::new(None)),
             retries_global: telemetry::counter(names::CLIENT_RETRIES),
-            transport,
+            tcp,
         }
     }
 
@@ -455,29 +447,18 @@ impl SwiftClient {
     /// Builder: TCP transport with explicit server options and pool config.
     pub fn over_tcp_with(mut self, opts: NetOptions, cfg: PoolConfig) -> Result<SwiftClient> {
         let handle = self.cluster.serve_net(opts)?;
-        self.transport = Transport::Tcp(HttpPool::new(handle.addr(), cfg));
+        self.tcp = Some(HttpPool::new(handle.addr(), cfg));
         Ok(self)
     }
 
     /// True when requests ride real sockets.
     pub fn is_tcp(&self) -> bool {
-        matches!(self.transport, Transport::Tcp(_))
+        self.tcp.is_some()
     }
 
     /// The connection pool behind the TCP transport, for tests and reports.
     pub fn transport_pool(&self) -> Option<&Arc<HttpPool>> {
-        match &self.transport {
-            Transport::Tcp(pool) => Some(pool),
-            Transport::InProcess => None,
-        }
-    }
-
-    /// One request/response exchange over whichever transport is in force.
-    fn dispatch(&self, req: Request) -> Result<Response> {
-        match &self.transport {
-            Transport::InProcess => self.cluster.handle(req),
-            Transport::Tcp(pool) => pool.send(&req),
-        }
+        self.tcp.as_ref()
     }
 
     /// The account this client operates on.
@@ -527,35 +508,52 @@ impl SwiftClient {
         self.trace.lock().clone()
     }
 
-    /// Send a request, attaching the auth token; retryable failures are
-    /// re-dispatched per the client's [`RetryPolicy`]. The client's deadline
-    /// (if set) is stamped on the request, bounds backoff sleeps, and stops
-    /// re-dispatch once expired — the last real error surfaces, not a
-    /// synthetic timeout.
-    pub fn request(&self, mut req: Request) -> Result<Response> {
+    /// Send an object request, attaching the auth token and trace;
+    /// retryable failures are re-dispatched per the client's
+    /// [`RetryPolicy`]. The client's deadline (if set) is stamped on the
+    /// request, bounds backoff sleeps, and stops re-dispatch once expired —
+    /// the last real error surfaces, not a synthetic timeout.
+    pub fn request(&self, req: Request) -> Result<Response> {
+        self.call(req.method, Target::Object(req.path), req.headers, req.body, req.deadline)
+    }
+
+    /// Send one request to any endpoint under the client's retry loop —
+    /// the one place the auth token, trace and deadline are stamped.
+    /// Object requests record a client span; endpoint calls do not, so
+    /// reading a trace never adds to it.
+    fn call(
+        &self,
+        method: Method,
+        target: Target,
+        mut headers_map: Headers,
+        body: Option<Bytes>,
+        deadline: Deadline,
+    ) -> Result<Response> {
         if let Some(tok) = &self.token {
-            req.headers.set(scoop_common::headers::AUTH_TOKEN, tok.clone());
+            headers_map.set(headers::AUTH_TOKEN, tok.clone());
         }
         let trace = self.trace.lock().clone();
         if let Some(t) = &trace {
-            req.headers.set(scoop_common::headers::TRACE, t.clone());
+            headers_map.set(headers::TRACE, t.clone());
         }
-        let _span = telemetry::span(
-            trace.as_deref(),
-            telemetry::layers::CLIENT,
-            format!("{:?} {}", req.method, req.path.ring_key()),
-        );
-        req.deadline = req.deadline.earliest(*self.deadline.lock());
-        let deadline = req.deadline;
+        let _span = match &target {
+            Target::Object(path) => Some(telemetry::span(
+                trace.as_deref(),
+                telemetry::layers::CLIENT,
+                format!("{method:?} {}", path.ring_key()),
+            )),
+            _ => None,
+        };
+        let deadline = deadline.earliest(self.current_deadline());
         deadline.check("client dispatch")?;
         let mut rng = scoop_common::rng::XorShift64::new(self.retry.seed);
         let mut attempt = 0u32;
         loop {
-            match self.dispatch(req.clone()) {
+            match self.dispatch(method, &target, &headers_map, body.as_ref(), deadline) {
                 Ok(resp) => return Ok(resp),
                 Err(e)
                     if e.is_retryable()
-                        && attempt + 1 < self.retry.max_attempts
+                        && attempt.saturating_add(1) < self.retry.max_attempts
                         && !deadline.expired() =>
                 {
                     std::thread::sleep(deadline.clamp_sleep(self.retry.backoff(attempt, &mut rng)));
@@ -566,18 +564,6 @@ impl SwiftClient {
                 Err(e) => return Err(e),
             }
         }
-    }
-
-    /// Stamp auth token and trace on a raw (non-object) request's headers.
-    fn raw_headers(&self) -> Headers {
-        let mut h = Headers::new();
-        if let Some(tok) = &self.token {
-            h.set(scoop_common::headers::AUTH_TOKEN, tok.clone());
-        }
-        if let Some(t) = self.trace.lock().as_ref() {
-            h.set(scoop_common::headers::TRACE, t.clone());
-        }
-        h
     }
 
     /// Snapshot the client's deadline. The guard is scoped to this frame,
@@ -587,62 +573,63 @@ impl SwiftClient {
         *self.deadline.lock()
     }
 
-    /// One raw (non-object) exchange under the client's retry policy.
-    /// Container creates and listings are idempotent, so re-dispatch after
-    /// a retryable wire failure is always safe.
-    fn raw_retrying(
+    /// One exchange over whichever transport is in force: the router
+    /// in-process, the pool over TCP. The only place the transport forks.
+    fn dispatch(
         &self,
-        pool: &Arc<HttpPool>,
         method: Method,
-        target: &str,
-        headers: Headers,
-    ) -> Result<(u16, Headers, bytes::Bytes)> {
-        let deadline = self.current_deadline();
-        deadline.check("raw dispatch")?;
-        let mut rng = scoop_common::rng::XorShift64::new(self.retry.seed);
-        let mut attempt = 0u32;
-        loop {
-            match pool.send_raw(method, target, headers.clone(), deadline) {
-                Ok(out) => return Ok(out),
-                Err(e)
-                    if e.is_retryable()
-                        && attempt + 1 < self.retry.max_attempts
-                        && !deadline.expired() =>
-                {
-                    std::thread::sleep(deadline.clamp_sleep(self.retry.backoff(attempt, &mut rng)));
-                    attempt += 1;
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    self.retries_global.inc();
-                }
-                Err(e) => return Err(e),
-            }
+        target: &Target,
+        headers_map: &Headers,
+        body: Option<&Bytes>,
+        deadline: Deadline,
+    ) -> Result<Response> {
+        match &self.tcp {
+            None => self.cluster.balancer.serve(
+                method,
+                target.clone(),
+                headers_map.clone(),
+                body.cloned(),
+                deadline,
+            ),
+            Some(pool) => pool.send(method, target, headers_map, body, deadline),
         }
+    }
+
+    /// One body-less endpoint call that must answer `expect`; returns the
+    /// whole response body.
+    fn endpoint(
+        &self,
+        method: Method,
+        target: Target,
+        headers_map: Headers,
+        expect: u16,
+    ) -> Result<Bytes> {
+        let resp = self.call(method, target.clone(), headers_map, None, Deadline::none())?;
+        if resp.status != expect {
+            return Err(ScoopError::Internal(format!(
+                "{} {} answered unexpected status {}",
+                wire::method_name(method),
+                wire::encode_target(&target),
+                resp.status
+            )));
+        }
+        resp.read_body()
+    }
+
+    /// GET a text endpoint.
+    fn get_text(&self, target: Target) -> Result<String> {
+        let body = self.endpoint(Method::Get, target, Headers::new(), 200)?;
+        Ok(String::from_utf8_lossy(&body).into_owned())
+    }
+
+    fn container_target(&self, container: &str) -> Target {
+        Target::Container { account: self.account.clone(), container: container.to_string() }
     }
 
     /// Create a container.
     pub fn create_container(&self, container: &str) -> Result<()> {
-        match &self.transport {
-            Transport::InProcess => {
-                self.cluster.containers.create_container(&self.account, container);
-                Ok(())
-            }
-            Transport::Tcp(pool) => {
-                let target = format!(
-                    "/{}/{}",
-                    wire::encode_segment(&self.account),
-                    wire::encode_segment(container)
-                );
-                let (status, _, _) =
-                    self.raw_retrying(pool, Method::Put, &target, self.raw_headers())?;
-                if status == 201 {
-                    Ok(())
-                } else {
-                    Err(ScoopError::Internal(format!(
-                        "container create answered unexpected status {status}"
-                    )))
-                }
-            }
-        }
+        self.endpoint(Method::Put, self.container_target(container), Headers::new(), 201)
+            .map(drop)
     }
 
     /// Store an object. Each upload carries a unique idempotency token, so a
@@ -668,91 +655,34 @@ impl SwiftClient {
 
     /// `GET /info`: the telemetry snapshot served by whichever proxy the
     /// load balancer picks — the Swift recon/info analogue, no auth (the
-    /// snapshot carries operational counters, not object data). On the TCP
-    /// transport a wire failure degrades to `503` rather than erroring: the
-    /// snapshot is best-effort operational data.
+    /// snapshot carries operational counters, not object data). A failed
+    /// exchange degrades to `503` rather than erroring: the snapshot is
+    /// best-effort operational data.
     pub fn info(&self) -> Response {
-        match &self.transport {
-            Transport::InProcess => self.cluster.next_proxy().info(),
-            Transport::Tcp(pool) => {
-                match pool.send_raw(Method::Get, "/info", self.raw_headers(), *self.deadline.lock())
-                {
-                    Ok((status, headers, body)) => {
-                        wire::response_from_parts(status, headers, body)
-                    }
-                    Err(_) => Response::unavailable(),
-                }
-            }
-        }
+        self.call(Method::Get, Target::Info, Headers::new(), None, Deadline::none())
+            .and_then(|resp| {
+                let Response { status, headers, body } = resp;
+                Ok(wire::response_from_parts(status, headers, stream::collect(body)?))
+            })
+            .unwrap_or_else(|_| Response::unavailable())
     }
 
     /// `GET /metrics`: the live Prometheus text rendering of the telemetry
-    /// registry. In-process transports render the local snapshot directly;
-    /// over TCP the request crosses the wire so the text reflects whichever
-    /// proxy answered. Best-effort like [`SwiftClient::info`].
+    /// registry, as rendered by the serving proxy.
     pub fn metrics_text(&self) -> Result<String> {
-        match &self.transport {
-            Transport::InProcess => Ok(telemetry::snapshot().to_prometheus()),
-            Transport::Tcp(pool) => {
-                let (status, _, body) = pool.send_raw(
-                    Method::Get,
-                    "/metrics",
-                    self.raw_headers(),
-                    *self.deadline.lock(),
-                )?;
-                if status != 200 {
-                    return Err(ScoopError::Internal(format!(
-                        "/metrics answered unexpected status {status}"
-                    )));
-                }
-                Ok(String::from_utf8_lossy(&body).into_owned())
-            }
-        }
+        self.get_text(Target::Metrics)
     }
 
     /// `GET /trace/{id}`: the JSON span dump for one trace. Over TCP the
     /// spans come from the server's store; the caller's own client-side
     /// spans for the same trace live in the local store (`trace_spans`).
     pub fn trace_json(&self, trace: &str) -> Result<String> {
-        match &self.transport {
-            Transport::InProcess => Ok(telemetry::trace_to_json(trace)),
-            Transport::Tcp(pool) => {
-                let target = format!("/trace/{}", wire::encode_segment(trace));
-                let (status, _, body) = pool.send_raw(
-                    Method::Get,
-                    &target,
-                    self.raw_headers(),
-                    *self.deadline.lock(),
-                )?;
-                if status != 200 {
-                    return Err(ScoopError::Internal(format!(
-                        "/trace answered unexpected status {status}"
-                    )));
-                }
-                Ok(String::from_utf8_lossy(&body).into_owned())
-            }
-        }
+        self.get_text(Target::Trace(trace.to_string()))
     }
 
     /// `GET /events`: the wide-event (slow-query) ring as JSON.
     pub fn events_json(&self) -> Result<String> {
-        match &self.transport {
-            Transport::InProcess => Ok(telemetry::events_to_json(&telemetry::query_events())),
-            Transport::Tcp(pool) => {
-                let (status, _, body) = pool.send_raw(
-                    Method::Get,
-                    "/events",
-                    self.raw_headers(),
-                    *self.deadline.lock(),
-                )?;
-                if status != 200 {
-                    return Err(ScoopError::Internal(format!(
-                        "/events answered unexpected status {status}"
-                    )));
-                }
-                Ok(String::from_utf8_lossy(&body).into_owned())
-            }
-        }
+        self.get_text(Target::Events)
     }
 
     /// Object metadata.
@@ -763,90 +693,12 @@ impl SwiftClient {
 
     /// Container listing.
     pub fn list(&self, container: &str, prefix: Option<&str>) -> Result<Vec<ObjectRecord>> {
-        match &self.transport {
-            Transport::InProcess => {
-                self.cluster.containers.list_objects(&self.account, container, prefix)
-            }
-            Transport::Tcp(pool) => {
-                let target = format!(
-                    "/{}/{}",
-                    wire::encode_segment(&self.account),
-                    wire::encode_segment(container)
-                );
-                let mut headers = self.raw_headers();
-                if let Some(p) = prefix {
-                    headers.set(scoop_common::headers::LIST_PREFIX, p.to_string());
-                }
-                let (_, _, body) = self.raw_retrying(pool, Method::Get, &target, headers)?;
-                wire::decode_listing(&body)
-            }
+        let mut headers_map = Headers::new();
+        if let Some(p) = prefix {
+            headers_map.set(headers::LIST_PREFIX, p.to_string());
         }
-    }
-
-    /// Fetch several byte ranges of one object. Over TCP the batch is
-    /// *pipelined*: every GET frame is written back-to-back on one pooled
-    /// connection and the responses are read in order — one round trip of
-    /// latency for the whole batch. In-process the ranges dispatch
-    /// sequentially (there is no wire to amortize). Retryable wire failures
-    /// re-dispatch the whole batch under the client's [`RetryPolicy`]
-    /// (GETs are idempotent, so a replayed batch is safe).
-    pub fn get_ranges(
-        &self,
-        container: &str,
-        object: &str,
-        ranges: &[ByteRange],
-    ) -> Result<Vec<Response>> {
-        let path = ObjectPath::new(self.account.clone(), container, object)?;
-        match &self.transport {
-            Transport::InProcess => ranges
-                .iter()
-                .map(|r| self.request(Request::get(path.clone()).with_range(*r)))
-                .collect(),
-            Transport::Tcp(pool) => {
-                let deadline = self.current_deadline();
-                deadline.check("pipelined dispatch")?;
-                let trace = self.trace.lock().clone();
-                let _span = telemetry::span(
-                    trace.as_deref(),
-                    telemetry::layers::CLIENT,
-                    format!("pipelined GET x{} {}", ranges.len(), path.ring_key()),
-                );
-                let reqs: Vec<Request> = ranges
-                    .iter()
-                    .map(|r| {
-                        let mut req =
-                            Request::get(path.clone()).with_range(*r).with_deadline(deadline);
-                        if let Some(tok) = &self.token {
-                            req.headers.set(scoop_common::headers::AUTH_TOKEN, tok.clone());
-                        }
-                        if let Some(t) = &trace {
-                            req.headers.set(scoop_common::headers::TRACE, t.clone());
-                        }
-                        req
-                    })
-                    .collect();
-                let mut rng = scoop_common::rng::XorShift64::new(self.retry.seed);
-                let mut attempt = 0u32;
-                loop {
-                    match pool.send_pipelined(&reqs) {
-                        Ok(responses) => return Ok(responses),
-                        Err(e)
-                            if e.is_retryable()
-                                && attempt + 1 < self.retry.max_attempts
-                                && !deadline.expired() =>
-                        {
-                            std::thread::sleep(
-                                deadline.clamp_sleep(self.retry.backoff(attempt, &mut rng)),
-                            );
-                            attempt += 1;
-                            self.retries.fetch_add(1, Ordering::Relaxed);
-                            self.retries_global.inc();
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-        }
+        let body = self.endpoint(Method::Get, self.container_target(container), headers_map, 200)?;
+        wire::decode_listing(&body)
     }
 }
 
@@ -969,6 +821,14 @@ mod tests {
         let a = cluster.next_proxy().id;
         let b = cluster.next_proxy().id;
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn zero_proxies_are_rejected_at_construction() {
+        // Regression: a proxy-less cluster used to build, and its first
+        // in-process request then panicked in the round-robin picker.
+        let err = SwiftCluster::new(SwiftConfig { proxies: 0, ..Default::default() }).unwrap_err();
+        assert_eq!(err.kind(), "invalid_request", "{err}");
     }
 
     #[test]

@@ -10,9 +10,9 @@
 
 use bytes::Bytes;
 use scoop_common::{stream, Deadline, RetryPolicy};
-use scoop_objectstore::request::ByteRange;
 use scoop_objectstore::{
-    FaultPlan, NetOptions, PoolConfig, SwiftClient, SwiftCluster, SwiftConfig,
+    FaultPlan, NetOptions, ObjectPath, PoolConfig, Request, SwiftClient, SwiftCluster,
+    SwiftConfig,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -285,29 +285,45 @@ fn deadline_expiry_mid_body_is_the_deadline_error_not_generic_io() {
     assert!(snap.evictions > 0, "mid-frame connection was pooled: {snap:?}");
 }
 
+/// Any HTTP/1.1 peer may pipeline: two GET frames written back-to-back on
+/// one raw socket must be answered in order, each with its own body.
 #[test]
-fn pipelined_range_gets_share_one_connection() {
-    let (_cluster, client) = tcp_rig(None);
-    let body = payload(100_000);
-    client.put_object("data", "o", body.clone()).unwrap();
+fn server_answers_pipelined_request_frames_in_order() {
+    use scoop_objectstore::net::wire::{self, BodyFraming, FrameReader, StartLine};
+    use std::io::Write;
+    use std::net::TcpStream;
 
-    let before = client.transport_pool().unwrap().snapshot();
-    let ranges: Vec<ByteRange> = (0..8)
-        .map(|i| ByteRange { start: i * 10_000, end: Some(i * 10_000 + 9_999) })
-        .collect();
-    let responses = client.get_ranges("data", "o", &ranges).unwrap();
-    assert_eq!(responses.len(), 8);
-    for (i, resp) in responses.into_iter().enumerate() {
-        assert_eq!(resp.status, 206);
-        let got = resp.read_body().unwrap();
-        assert_eq!(&got[..], &body[i * 10_000..(i + 1) * 10_000], "range {i} wrong");
+    let (cluster, client) = tcp_rig(None);
+    let bodies = [payload(30_000), payload(7_000).slice(100..)];
+    for (i, body) in bodies.iter().enumerate() {
+        client.put_object("data", &format!("o{i}"), body.clone()).unwrap();
     }
-    let after = client.transport_pool().unwrap().snapshot();
-    // Eight ranged GETs, one connection: at most one extra dial.
-    assert!(
-        after.dials <= before.dials + 1,
-        "pipelined ranges dialed per-request: {before:?} -> {after:?}"
-    );
+
+    let addr = cluster.serve_net(NetOptions::default()).unwrap().addr();
+    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2)).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    stream.set_write_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut frames = Vec::new();
+    for i in 0..bodies.len() {
+        let path = ObjectPath::new("AUTH_net", "data", format!("o{i}")).unwrap();
+        frames.extend_from_slice(&wire::encode_request(&Request::get(path)).unwrap());
+    }
+    stream.write_all(&frames).unwrap();
+    stream.flush().unwrap();
+
+    let mut reader = FrameReader::new(stream);
+    for (i, body) in bodies.iter().enumerate() {
+        let head = reader.read_head().unwrap().expect("response head");
+        let StartLine::Status(status) = head.start else { panic!("response {i}: not a status") };
+        assert_eq!(status, 200, "response {i}");
+        assert_eq!(FrameReader::<TcpStream>::body_framing(&head).unwrap(), BodyFraming::Chunked);
+        let mut got = Vec::new();
+        while let Some(chunk) = reader.read_chunk().unwrap() {
+            got.extend_from_slice(&chunk);
+        }
+        assert_eq!(got, body.to_vec(), "response {i} carried the wrong body");
+    }
+    assert!(reader.is_drained(), "bytes beyond the two responses");
 }
 
 /// Observability smoke over a chaos-seeded wire: traced GETs under active

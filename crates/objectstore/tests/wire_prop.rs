@@ -109,6 +109,32 @@ fn object_path() -> impl Strategy<Value = ObjectPath> {
     )
 }
 
+/// Top-level segments that address an endpoint, never an account.
+fn routable_account(account: &str) -> bool {
+    !matches!(account, "info" | "metrics" | "events" | "trace")
+}
+
+/// Any routable request target: each endpoint, and containers and objects
+/// whose segments exercise the escaper.
+fn target() -> impl Strategy<Value = Target> {
+    prop_oneof![
+        Just(Target::Info),
+        Just(Target::Metrics),
+        Just(Target::Events),
+        segment().prop_map(Target::Trace),
+        (segment(), segment())
+            .prop_filter("reserved namespaces never route as accounts", |(a, _)| {
+                routable_account(a)
+            })
+            .prop_map(|(account, container)| Target::Container { account, container }),
+        object_path()
+            .prop_filter("reserved namespaces never route as accounts", |p| {
+                routable_account(&p.account)
+            })
+            .prop_map(Target::Object),
+    ]
+}
+
 const METHODS: &[Method] =
     &[Method::Get, Method::Put, Method::Delete, Method::Head, Method::Post];
 
@@ -183,6 +209,14 @@ proptest! {
         prop_assert!(!decoded.headers.contains(headers::DEADLINE_MS));
         let reencoded = wire::encode_request(&decoded).unwrap();
         prop_assert_eq!(reencoded, bytes, "encode → decode → encode must be byte-identical");
+    }
+
+    /// `encode_target` inverts `decode_target`: every routable target —
+    /// endpoint, container or object — decodes back to itself.
+    #[test]
+    fn targets_roundtrip_through_the_encoder(target in target()) {
+        let encoded = wire::encode_target(&target);
+        prop_assert_eq!(wire::decode_target(&encoded).unwrap(), target);
     }
 
     /// A live deadline crosses as a shrinking budget: the decoded request

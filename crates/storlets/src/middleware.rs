@@ -868,11 +868,16 @@ mod tests {
     fn stale_stats_fall_back_to_full_scan() {
         let (cluster, engine, _) = indexed_fixture();
         let client = cluster.anonymous_client("AUTH_gp");
-        // Read the stored stats chunks, then overwrite the object with new
-        // bytes while replaying the OLD stats as user metadata: present but
-        // describing a different etag.
-        let head = client
-            .request(scoop_objectstore::Request::head(path()))
+        // Read the stored stats chunks off a replica (they never leave the
+        // proxy), then overwrite the object with new bytes while replaying
+        // the OLD stats as user metadata: present but describing a
+        // different etag.
+        let dev = cluster.ring().read().lookup(&path().ring_key())[0];
+        let node = cluster.ring().read().device(dev).node;
+        let head = cluster
+            .object_server(node)
+            .unwrap()
+            .handle(dev, scoop_objectstore::Request::head(path()))
             .unwrap();
         let old_stats: Vec<(String, String)> = head
             .headers
