@@ -15,7 +15,7 @@ use parking_lot::RwLock;
 use scoop_common::{Deadline, Result, ScoopError};
 use scoop_csv::{Schema, Value};
 use scoop_sql::catalyst::plan_query;
-use scoop_sql::exec::{execute_with_where, Aggregator, PartialAgg};
+use scoop_sql::exec::{execute_with_where, passes, Aggregator, BoundExpr, PartialAgg};
 use scoop_sql::{parse, ResultSet};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -393,11 +393,13 @@ impl Session {
             )?;
             // Effective compute-side predicate: residual when the source
             // handled the pushed filters, the full WHERE otherwise.
+            // Bound once per task, then evaluated on every row.
             let effective = if out.stats.filters_handled {
-                plan.residual_where.clone()
+                plan.residual_where.as_ref()
             } else {
-                query.where_clause.clone()
+                query.where_clause.as_ref()
             };
+            let filter = effective.map(|w| BoundExpr::new(w, &plan.scan_schema));
             let mut rows_in = 0u64;
             let mut rows_kept = 0u64;
             match &aggregator {
@@ -406,7 +408,7 @@ impl Session {
                     for row in out.rows {
                         let row = row?;
                         rows_in += 1;
-                        if passes(&effective, &row, &plan.scan_schema)? {
+                        if passes(filter.as_ref(), &row)? {
                             rows_kept += 1;
                             agg.update(&mut partial, &row)?;
                         }
@@ -425,7 +427,7 @@ impl Session {
                             }
                             let row = row?;
                             rows_in += 1;
-                            if passes(&effective, &row, &plan.scan_schema)? {
+                            if passes(filter.as_ref(), &row)? {
                                 if early_limit.is_some() {
                                     collected
                                         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -547,17 +549,6 @@ impl Session {
                 trace,
             },
         })
-    }
-}
-
-fn passes(
-    where_clause: &Option<scoop_sql::Expr>,
-    row: &[Value],
-    schema: &Schema,
-) -> Result<bool> {
-    match where_clause {
-        None => Ok(true),
-        Some(w) => Ok(scoop_sql::exec::eval_pred(w, row, schema)? == Some(true)),
     }
 }
 

@@ -96,33 +96,53 @@ impl Predicate {
 }
 
 /// SQL `LIKE` matching with `%` (any run) and `_` (any single char),
-/// operating on Unicode scalar values.
+/// operating on Unicode scalar values. ASCII pattern and text are matched
+/// byte by byte; either side non-ASCII decodes chars in place. Neither
+/// allocates.
 pub fn like_match(pattern: &str, text: &str) -> bool {
-    let pat: Vec<char> = pattern.chars().collect();
-    let txt: Vec<char> = text.chars().collect();
-    // Classic iterative wildcard matching with backtracking to the last '%'.
+    if pattern.is_ascii() && text.is_ascii() {
+        wildcard_match(pattern, text, |s, at| s.as_bytes().get(at).map(|&b| (char::from(b), 1)))
+    } else {
+        wildcard_match(pattern, text, |s, at| {
+            s.get(at..)?.chars().next().map(|c| (c, c.len_utf8()))
+        })
+    }
+}
+
+/// Classic iterative wildcard matching with backtracking to the last `%`.
+/// `unit(s, at)` decodes the unit (a byte or a char) starting at byte
+/// offset `at` of `s`, with its width in bytes; offsets stay on unit
+/// boundaries.
+fn wildcard_match(
+    pattern: &str,
+    text: &str,
+    unit: impl Fn(&str, usize) -> Option<(char, usize)>,
+) -> bool {
     let (mut p, mut t) = (0usize, 0usize);
-    let (mut star_p, mut star_t) = (usize::MAX, 0usize);
-    while t < txt.len() {
-        if p < pat.len() && (pat[p] == '_' || pat[p] == txt[t]) {
-            p += 1;
-            t += 1;
-        } else if p < pat.len() && pat[p] == '%' {
-            star_p = p;
-            star_t = t;
-            p += 1;
-        } else if star_p != usize::MAX {
-            p = star_p + 1;
-            star_t += 1;
-            t = star_t;
-        } else {
-            return false;
+    // After a `%`: the pattern offset past it, and the text offset the
+    // next backtrack resumes from.
+    let mut star: Option<(usize, usize)> = None;
+    while let Some((tc, tw)) = unit(text, t) {
+        match unit(pattern, p) {
+            Some((pc, pw)) if pc == '_' || pc == tc => {
+                p += pw;
+                t += tw;
+            }
+            Some(('%', pw)) => {
+                p += pw;
+                star = Some((p, t));
+            }
+            _ => match star.as_mut() {
+                Some((after_star, resume)) => {
+                    *resume += unit(text, *resume).map_or(1, |(_, w)| w);
+                    p = *after_star;
+                    t = *resume;
+                }
+                None => return false,
+            },
         }
     }
-    while p < pat.len() && pat[p] == '%' {
-        p += 1;
-    }
-    p == pat.len()
+    pattern.get(p..).is_some_and(|rest| rest.bytes().all(|b| b == b'%'))
 }
 
 /// The full pushdown payload for one object request.

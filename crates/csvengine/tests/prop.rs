@@ -7,6 +7,49 @@ use scoop_csv::record::{parse_fields, split_records, write_record, RecordSplitte
 use scoop_csv::split::{aligned_slice, plan_splits};
 use scoop_csv::{Predicate, Value};
 
+/// Reference LIKE over collected `Vec<char>`s: iterative `%`/`_` matching
+/// with backtracking to the last `%`.
+fn like_by_chars(pattern: &str, text: &str) -> bool {
+    let pat: Vec<char> = pattern.chars().collect();
+    let txt: Vec<char> = text.chars().collect();
+    let (mut p, mut t) = (0usize, 0usize);
+    let mut star: Option<(usize, usize)> = None;
+    while t < txt.len() {
+        if p < pat.len() && (pat[p] == '_' || pat[p] == txt[t]) {
+            p += 1;
+            t += 1;
+        } else if p < pat.len() && pat[p] == '%' {
+            star = Some((p, t));
+            p += 1;
+        } else if let Some((sp, st)) = star {
+            star = Some((sp, st + 1));
+            p = sp + 1;
+            t = st + 1;
+        } else {
+            return false;
+        }
+    }
+    pat[p..].iter().all(|&c| c == '%')
+}
+
+#[test]
+fn like_underscore_spans_one_multibyte_char() {
+    for (p, t, want) in [
+        ("caf_", "café", true),
+        ("ca_", "café", false),
+        ("caf__", "café", false),
+        ("%_", "é", true),
+        ("_%_", "é", false),
+        ("%%é%%", "café", true),
+        ("日_語", "日本語", true),
+        ("a%%%b", "a日b", true),
+        ("%", "", true),
+    ] {
+        assert_eq!(like_match(p, t), want, "{t:?} LIKE {p:?}");
+        assert_eq!(like_by_chars(p, t), want, "reference: {t:?} LIKE {p:?}");
+    }
+}
+
 /// Arbitrary field content, including the characters that require quoting.
 fn field_strategy() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[a-zA-Z0-9 ,\"\n\r%();=_-]{0,12}").expect("regex")
@@ -122,6 +165,44 @@ proptest! {
         prop_assert_eq!(like_match(&suffixed, &t), t.ends_with(&s));
         let contains = format!("%{s}%");
         prop_assert_eq!(like_match(&contains, &t), t.contains(&s));
+    }
+
+    /// `like_match` (bytes for ASCII inputs, chars in place otherwise)
+    /// agrees with a char-vector reference on ASCII and non-ASCII text and
+    /// patterns, including `_` against multi-byte chars and runs of `%`.
+    /// Most patterns are derived from the text (each char kept, replaced by
+    /// `_`, `%` or `%%`, or dropped), so both outcomes are common.
+    #[test]
+    fn like_matches_char_reference(
+        text in "[ab%_é日]{0,10}",
+        ascii_text in "[ab%_]{0,10}",
+        ops in proptest::collection::vec(0u8..5, 10),
+        tail in "[ab%_é日]{0,2}",
+        free in "[ab%_é日]{0,8}",
+    ) {
+        let derive = |t: &str| -> String {
+            let mut p: String = t
+                .chars()
+                .zip(&ops)
+                .map(|(c, op)| match op {
+                    0 => c.to_string(),
+                    1 => "_".to_string(),
+                    2 => "%".to_string(),
+                    3 => "%%".to_string(),
+                    _ => String::new(),
+                })
+                .collect();
+            p.push_str(&tail);
+            p
+        };
+        for (p, t) in [
+            (derive(&text), &text),
+            (derive(&ascii_text), &ascii_text),
+            (free.clone(), &text),
+            (free.clone(), &ascii_text),
+        ] {
+            prop_assert_eq!(like_match(&p, t), like_by_chars(&p, t), "{:?} LIKE {:?}", t, p);
+        }
     }
 
     /// Typed value total order is antisymmetric and transitive on samples.

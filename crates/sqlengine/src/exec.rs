@@ -8,15 +8,20 @@
 //!   partition's rows into a [`PartialAgg`] (map-side combine), the driver
 //!   merges partials and finalizes. The compute crate drives this.
 //!
+//! Both bind every clause of the query once, before any row is read, and
+//! evaluate rows in that bound form ([`BoundExpr`] for a row-context
+//! expression such as a task's WHERE).
+//!
 //! NULL handling follows SQL three-valued logic, arranged to agree exactly
 //! with the raw-field evaluation in `scoop_csv::filter` so pushdown is
 //! transparent.
 
-use crate::ast::{BinOp, Expr, Query, SelectItem};
+use crate::ast::{AggFunc, BinOp, Expr, Query, SelectItem};
 use crate::functions::{eval_scalar, AggState};
 use scoop_common::{Result, ScoopError};
 use scoop_csv::pushdown::like_match;
 use scoop_csv::{Schema, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -72,43 +77,223 @@ impl ResultSet {
 }
 
 // ---------------------------------------------------------------------------
-// Expression evaluation
+// Binding and expression evaluation
 // ---------------------------------------------------------------------------
 
-/// Evaluate a scalar expression against a row. Aggregate nodes are an error
-/// here; aggregated queries substitute them before calling.
+/// An expression in bound form. Every clause of a query is bound once,
+/// before any row is read: column names become row indices and aggregate
+/// calls become slots in the finished-aggregate vector, so evaluating a row
+/// does no name lookup and clones no `Expr`.
+#[derive(Debug)]
+enum Node {
+    /// Row index of a column.
+    Column(usize),
+    Literal(Value),
+    /// Slot in the finished-aggregate vector (aggregate context only).
+    Agg(usize),
+    Binary { op: BinOp, left: Box<Node>, right: Box<Node> },
+    Not(Box<Node>),
+    Like { expr: Box<Node>, pattern: String, negated: bool },
+    InList { expr: Box<Node>, list: Vec<Node>, negated: bool },
+    IsNull { expr: Box<Node>, negated: bool },
+    Func { name: String, args: Vec<Node> },
+    /// A bind error: unknown column, `*`, or an aggregate in row context.
+    /// Binding itself never fails; the error is raised when a row reaches
+    /// the node, so a query that evaluates no row succeeds.
+    Fail(String),
+}
+
+impl Node {
+    /// Bind `expr` to `schema`. `aggs` lists the aggregate calls whose
+    /// finished values are in scope; it is empty in row context.
+    fn bind(expr: &Expr, schema: &Schema, aggs: &[&Expr]) -> Node {
+        let bind = |e: &Expr| Box::new(Node::bind(e, schema, aggs));
+        let bind_all = |es: &[Expr]| es.iter().map(|e| Node::bind(e, schema, aggs)).collect();
+        match expr {
+            Expr::Column(name) => match schema.resolve(name) {
+                Ok(idx) => Node::Column(idx),
+                Err(ScoopError::Sql(msg)) => Node::Fail(msg),
+                Err(other) => Node::Fail(other.to_string()),
+            },
+            Expr::Literal(v) => Node::Literal(v.clone()),
+            Expr::Star => Node::Fail("'*' outside COUNT(*)".into()),
+            Expr::Agg { .. } => match aggs.iter().position(|c| *c == expr) {
+                Some(slot) => Node::Agg(slot),
+                None => Node::Fail("aggregate used outside aggregation context".into()),
+            },
+            Expr::Binary { op, left, right } => {
+                Node::Binary { op: *op, left: bind(left), right: bind(right) }
+            }
+            Expr::Not(e) => Node::Not(bind(e)),
+            Expr::Like { expr, pattern, negated } => {
+                Node::Like { expr: bind(expr), pattern: pattern.clone(), negated: *negated }
+            }
+            Expr::InList { expr, list, negated } => {
+                Node::InList { expr: bind(expr), list: bind_all(list), negated: *negated }
+            }
+            Expr::IsNull { expr, negated } => Node::IsNull { expr: bind(expr), negated: *negated },
+            Expr::Func { name, args } => Node::Func { name: name.clone(), args: bind_all(args) },
+        }
+    }
+
+    /// The node's value against a row and the finished aggregates. Columns,
+    /// literals and aggregate slots are borrowed, not cloned.
+    fn value<'a>(&'a self, row: &'a [Value], aggs: &'a [Value]) -> Result<Cow<'a, Value>> {
+        Ok(match self {
+            Node::Column(idx) => row.get(*idx).map_or(Cow::Owned(Value::Null), Cow::Borrowed),
+            Node::Literal(v) => Cow::Borrowed(v),
+            Node::Agg(slot) => aggs.get(*slot).map_or(Cow::Owned(Value::Null), Cow::Borrowed),
+            Node::Fail(msg) => return Err(ScoopError::Sql(msg.clone())),
+            Node::Func { name, args } => {
+                Cow::Owned(with_values(args, row, aggs, |vals| eval_scalar(name, vals))?)
+            }
+            Node::Binary {
+                op: op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod),
+                left,
+                right,
+            } => Cow::Owned(arith(*op, &*left.value(row, aggs)?, &*right.value(row, aggs)?)),
+            Node::Binary { .. }
+            | Node::Not(_)
+            | Node::Like { .. }
+            | Node::InList { .. }
+            | Node::IsNull { .. } => Cow::Owned(tri_to_value(self.pred(row, aggs)?)),
+        })
+    }
+
+    /// Three-valued predicate evaluation (Kleene logic for AND/OR/NOT).
+    fn pred(&self, row: &[Value], aggs: &[Value]) -> Result<Option<bool>> {
+        Ok(match self {
+            Node::Binary { op: BinOp::And, left, right } => {
+                match (left.pred(row, aggs)?, right.pred(row, aggs)?) {
+                    (Some(false), _) | (_, Some(false)) => Some(false),
+                    (Some(true), Some(true)) => Some(true),
+                    _ => None,
+                }
+            }
+            Node::Binary { op: BinOp::Or, left, right } => {
+                match (left.pred(row, aggs)?, right.pred(row, aggs)?) {
+                    (Some(true), _) | (_, Some(true)) => Some(true),
+                    (Some(false), Some(false)) => Some(false),
+                    _ => None,
+                }
+            }
+            Node::Not(inner) => inner.pred(row, aggs)?.map(|b| !b),
+            Node::Binary {
+                op: op @ (BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge),
+                left,
+                right,
+            } => {
+                let l = left.value(row, aggs)?;
+                let r = right.value(row, aggs)?;
+                l.sql_cmp(&r).map(|ord| match op {
+                    BinOp::Eq => ord == Ordering::Equal,
+                    BinOp::Ne => ord != Ordering::Equal,
+                    BinOp::Lt => ord == Ordering::Less,
+                    BinOp::Le => ord != Ordering::Greater,
+                    BinOp::Gt => ord == Ordering::Greater,
+                    BinOp::Ge => ord != Ordering::Less,
+                    _ => unreachable!(),
+                })
+            }
+            Node::Like { expr, pattern, negated } => match &*expr.value(row, aggs)? {
+                Value::Null => None,
+                Value::Str(s) => Some(like_match(pattern, s.as_str()) != *negated),
+                other => Some(like_match(pattern, &other.to_string()) != *negated),
+            },
+            Node::InList { expr, list, negated } => {
+                let v = expr.value(row, aggs)?;
+                if v.is_null() {
+                    return Ok(None);
+                }
+                let mut saw_null = false;
+                for item in list {
+                    let candidate = item.value(row, aggs)?;
+                    if candidate.is_null() {
+                        saw_null = true;
+                    } else if v.sql_eq(&candidate) {
+                        return Ok(Some(!negated));
+                    }
+                }
+                if saw_null {
+                    None
+                } else {
+                    Some(*negated)
+                }
+            }
+            Node::IsNull { expr, negated } => Some(expr.value(row, aggs)?.is_null() != *negated),
+            // Fallback: numeric truthiness of the evaluated value.
+            other => match &*other.value(row, aggs)? {
+                Value::Null => None,
+                v => v.as_f64().map(|f| f != 0.0),
+            },
+        })
+    }
+}
+
+/// Evaluate `nodes` into owned values held on the stack (on the heap only
+/// past four) and hand them to `f`: scalar-function arguments and group keys
+/// need a contiguous slice, not a fresh `Vec` per row.
+fn with_values<R>(
+    nodes: &[Node],
+    row: &[Value],
+    aggs: &[Value],
+    f: impl FnOnce(&[Value]) -> Result<R>,
+) -> Result<R> {
+    let mut inline: [Value; 4] = Default::default();
+    let mut spilled = Vec::new();
+    let vals = match inline.get_mut(..nodes.len()) {
+        Some(vals) => vals,
+        None => {
+            spilled.resize(nodes.len(), Value::Null);
+            &mut spilled[..]
+        }
+    };
+    for (slot, node) in vals.iter_mut().zip(nodes) {
+        *slot = node.value(row, aggs)?.into_owned();
+    }
+    f(vals)
+}
+
+/// A row-context expression (a WHERE clause, a scalar select item) bound to
+/// one schema. Bind once per query or task, then evaluate every row.
+#[derive(Debug)]
+pub struct BoundExpr(Node);
+
+impl BoundExpr {
+    /// Bind `expr` to `schema`. Never fails: an unknown column, `*` or an
+    /// aggregate call fails when a row is evaluated, with the same error.
+    pub fn new(expr: &Expr, schema: &Schema) -> BoundExpr {
+        BoundExpr(Node::bind(expr, schema, &[]))
+    }
+
+    /// Evaluate against a row.
+    pub fn eval(&self, row: &[Value]) -> Result<Value> {
+        self.0.value(row, &[]).map(Cow::into_owned)
+    }
+
+    /// Three-valued predicate evaluation against a row.
+    pub fn eval_pred(&self, row: &[Value]) -> Result<Option<bool>> {
+        self.0.pred(row, &[])
+    }
+}
+
+/// Evaluate a scalar expression against a row: bind, then evaluate.
+/// Aggregate nodes are an error here.
 pub fn eval(expr: &Expr, row: &[Value], schema: &Schema) -> Result<Value> {
-    match expr {
-        Expr::Column(name) => {
-            let idx = schema.resolve(name)?;
-            Ok(row.get(idx).cloned().unwrap_or(Value::Null))
-        }
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Star => Err(ScoopError::Sql("'*' outside COUNT(*)".into())),
-        Expr::Agg { .. } => Err(ScoopError::Sql(
-            "aggregate used outside aggregation context".into(),
-        )),
-        Expr::Func { name, args } => {
-            let vals: Vec<Value> = args
-                .iter()
-                .map(|a| eval(a, row, schema))
-                .collect::<Result<_>>()?;
-            eval_scalar(name, &vals)
-        }
-        Expr::Binary { op, left, right } => match op {
-            BinOp::And | BinOp::Or => Ok(tri_to_value(eval_pred(expr, row, schema)?)),
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                Ok(tri_to_value(eval_pred(expr, row, schema)?))
-            }
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-                let l = eval(left, row, schema)?;
-                let r = eval(right, row, schema)?;
-                Ok(arith(*op, &l, &r))
-            }
-        },
-        Expr::Not(_) | Expr::Like { .. } | Expr::InList { .. } | Expr::IsNull { .. } => {
-            Ok(tri_to_value(eval_pred(expr, row, schema)?))
-        }
+    BoundExpr::new(expr, schema).eval(row)
+}
+
+/// Three-valued predicate evaluation (Kleene logic for AND/OR/NOT): bind,
+/// then evaluate.
+pub fn eval_pred(expr: &Expr, row: &[Value], schema: &Schema) -> Result<Option<bool>> {
+    BoundExpr::new(expr, schema).eval_pred(row)
+}
+
+/// WHERE semantics: a row passes only when the bound filter is TRUE.
+pub fn passes(filter: Option<&BoundExpr>, row: &[Value]) -> Result<bool> {
+    match filter {
+        None => Ok(true),
+        Some(f) => Ok(f.eval_pred(row)? == Some(true)),
     }
 }
 
@@ -165,87 +350,55 @@ fn arith(op: BinOp, l: &Value, r: &Value) -> Value {
     }
 }
 
-/// Three-valued predicate evaluation (Kleene logic for AND/OR/NOT).
-pub fn eval_pred(expr: &Expr, row: &[Value], schema: &Schema) -> Result<Option<bool>> {
-    match expr {
-        Expr::Binary { op: BinOp::And, left, right } => {
-            let l = eval_pred(left, row, schema)?;
-            let r = eval_pred(right, row, schema)?;
-            Ok(match (l, r) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
+/// An ORDER BY key, bound once.
+enum SortKey {
+    /// Position in the output row: the key names a select alias or repeats
+    /// a select item.
+    Output(usize),
+    /// Evaluated on the source row (for an aggregated query, the group's
+    /// representative row and its finished aggregates).
+    Eval(Node),
+}
+
+/// Bind ORDER BY. An alias, or a select item the key repeats, becomes an
+/// output position; with `SELECT *` only aliases do, since the output row is
+/// then the whole source row.
+fn bind_order(query: &Query, schema: &Schema, aggs: &[&Expr]) -> Vec<SortKey> {
+    let star = query.items.iter().any(|i| matches!(i.expr, Expr::Star));
+    query
+        .order_by
+        .iter()
+        .map(|o| {
+            let alias = match &o.expr {
+                Expr::Column(name) => query
+                    .items
+                    .iter()
+                    .position(|it| it.alias.as_deref() == Some(name.as_str())),
                 _ => None,
-            })
-        }
-        Expr::Binary { op: BinOp::Or, left, right } => {
-            let l = eval_pred(left, row, schema)?;
-            let r = eval_pred(right, row, schema)?;
-            Ok(match (l, r) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            })
-        }
-        Expr::Not(inner) => Ok(eval_pred(inner, row, schema)?.map(|b| !b)),
-        Expr::Binary {
-            op: op @ (BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge),
-            left,
-            right,
-        } => {
-            let l = eval(left, row, schema)?;
-            let r = eval(right, row, schema)?;
-            Ok(l.sql_cmp(&r).map(|ord| match op {
-                BinOp::Eq => ord == Ordering::Equal,
-                BinOp::Ne => ord != Ordering::Equal,
-                BinOp::Lt => ord == Ordering::Less,
-                BinOp::Le => ord != Ordering::Greater,
-                BinOp::Gt => ord == Ordering::Greater,
-                BinOp::Ge => ord != Ordering::Less,
-                _ => unreachable!(),
-            }))
-        }
-        Expr::Like { expr, pattern, negated } => {
-            let v = eval(expr, row, schema)?;
-            Ok(match v {
-                Value::Null => None,
-                other => {
-                    let text = match &other {
-                        Value::Str(s) => s.clone(),
-                        v => v.to_string().into(),
-                    };
-                    Some(like_match(pattern, &text) != *negated)
-                }
-            })
-        }
-        Expr::InList { expr, list, negated } => {
-            let v = eval(expr, row, schema)?;
-            if v.is_null() {
-                return Ok(None);
+            };
+            let repeated =
+                || query.items.iter().position(|it| it.expr == o.expr).filter(|_| !star);
+            match alias.or_else(repeated) {
+                Some(pos) => SortKey::Output(pos),
+                None => SortKey::Eval(Node::bind(&o.expr, schema, aggs)),
             }
-            let mut saw_null = false;
-            for item in list {
-                let candidate = eval(item, row, schema)?;
-                if candidate.is_null() {
-                    saw_null = true;
-                } else if v.sql_eq(&candidate) {
-                    return Ok(Some(!negated));
-                }
-            }
-            Ok(if saw_null { None } else { Some(*negated) })
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = eval(expr, row, schema)?;
-            Ok(Some(v.is_null() != *negated))
-        }
-        other => {
-            // Fallback: numeric truthiness of the evaluated value.
-            let v = eval(other, row, schema)?;
-            Ok(match v {
-                Value::Null => None,
-                v => v.as_f64().map(|f| f != 0.0),
-            })
-        }
-    }
+        })
+        .collect()
+}
+
+fn sort_key(
+    order: &[SortKey],
+    out_row: &[Value],
+    row: &[Value],
+    aggs: &[Value],
+) -> Result<Vec<Value>> {
+    order
+        .iter()
+        .map(|key| match key {
+            SortKey::Output(pos) => Ok(out_row.get(*pos).cloned().unwrap_or(Value::Null)),
+            SortKey::Eval(node) => node.value(row, aggs).map(Cow::into_owned),
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -271,12 +424,26 @@ pub struct PartialAgg {
     pub rows_seen: u64,
 }
 
+/// One aggregate call in bound form.
+struct AggCall {
+    func: AggFunc,
+    /// Row-context argument; `None` for `COUNT(*)`.
+    arg: Option<Node>,
+}
+
 /// Drives grouping + two-phase aggregation for one query.
 pub struct Aggregator {
     query: Query,
-    schema: Schema,
-    /// Deduplicated aggregate calls appearing anywhere in the output/order.
-    agg_calls: Vec<Expr>,
+    columns: Vec<String>,
+    /// GROUP BY keys (row context).
+    keys: Vec<Node>,
+    /// Deduplicated aggregate calls appearing anywhere in the output,
+    /// HAVING or ORDER BY; call `i` fills slot `i` of the finished vector.
+    calls: Vec<AggCall>,
+    /// SELECT items (aggregate context).
+    items: Vec<Node>,
+    having: Option<Node>,
+    order: Vec<SortKey>,
 }
 
 impl Aggregator {
@@ -298,7 +465,26 @@ impl Aggregator {
         for o in &query.order_by {
             collect_agg_calls(&o.expr, &mut agg_calls);
         }
-        Ok(Aggregator { query: query.clone(), schema: schema.clone(), agg_calls })
+        let calls = agg_calls
+            .iter()
+            .filter_map(|call| match call {
+                Expr::Agg { func, arg } => Some(AggCall {
+                    func: *func,
+                    arg: arg.as_deref().map(|a| Node::bind(a, schema, &[])),
+                }),
+                _ => None,
+            })
+            .collect();
+        let bind = |e: &Expr| Node::bind(e, schema, &agg_calls);
+        Ok(Aggregator {
+            query: query.clone(),
+            columns: query.items.iter().map(SelectItem::output_name).collect(),
+            keys: query.group_by.iter().map(|g| Node::bind(g, schema, &[])).collect(),
+            calls,
+            items: query.items.iter().map(|i| bind(&i.expr)).collect(),
+            having: query.having.as_ref().map(bind),
+            order: bind_order(query, schema, &agg_calls),
+        })
     }
 
     /// Fresh empty partial.
@@ -306,35 +492,29 @@ impl Aggregator {
         PartialAgg::default()
     }
 
+    fn new_group(&self, rep_row: Vec<Value>) -> GroupState {
+        GroupState { states: self.calls.iter().map(|c| AggState::new(c.func)).collect(), rep_row }
+    }
+
     /// Fold one (already WHERE-filtered) row into a partial.
     pub fn update(&self, partial: &mut PartialAgg, row: &[Value]) -> Result<()> {
         partial.rows_seen += 1;
-        let key: Vec<Value> = self
-            .query
-            .group_by
-            .iter()
-            .map(|g| eval(g, row, &self.schema))
-            .collect::<Result<_>>()?;
-        let entry = partial.groups.entry(key).or_insert_with(|| GroupState {
-            states: self
-                .agg_calls
-                .iter()
-                .map(|c| match c {
-                    Expr::Agg { func, .. } => AggState::new(*func),
-                    _ => unreachable!("agg_calls holds Agg nodes"),
-                })
-                .collect(),
-            rep_row: row.to_vec(),
-        });
-        for (call, state) in self.agg_calls.iter().zip(entry.states.iter_mut()) {
-            let Expr::Agg { arg, .. } = call else { unreachable!() };
-            let v = match arg {
-                None => Value::Int(1), // COUNT(*)
-                Some(a) => eval(a, row, &self.schema)?,
+        with_values(&self.keys, row, &[], |key| {
+            let group = match partial.groups.get_mut(key) {
+                Some(group) => group,
+                None => partial
+                    .groups
+                    .entry(key.to_vec())
+                    .or_insert_with(|| self.new_group(row.to_vec())),
             };
-            state.update(&v);
-        }
-        Ok(())
+            for (call, state) in self.calls.iter().zip(group.states.iter_mut()) {
+                match &call.arg {
+                    None => state.update(&Value::Int(1)), // COUNT(*)
+                    Some(arg) => state.update(&*arg.value(row, &[])?),
+                }
+            }
+            Ok(())
+        })
     }
 
     /// Merge another partial into `into` (driver-side reduce).
@@ -358,103 +538,45 @@ impl Aggregator {
 
     /// Finalize: evaluate output expressions per group, sort, limit.
     pub fn finalize(&self, mut partial: PartialAgg) -> Result<ResultSet> {
-        let columns: Vec<String> =
-            self.query.items.iter().map(SelectItem::output_name).collect();
         // SQL: a global aggregate (no GROUP BY) over zero rows still yields
         // one row — COUNT is 0, the other aggregates NULL.
         if self.query.group_by.is_empty() && partial.groups.is_empty() {
-            partial.groups.insert(
-                Vec::new(),
-                GroupState {
-                    states: self
-                        .agg_calls
-                        .iter()
-                        .map(|c| match c {
-                            Expr::Agg { func, .. } => AggState::new(*func),
-                            _ => unreachable!("agg_calls holds Agg nodes"),
-                        })
-                        .collect(),
-                    rep_row: Vec::new(),
-                },
-            );
+            partial.groups.insert(Vec::new(), self.new_group(Vec::new()));
         }
         let mut keyed_rows: Vec<(Vec<Value>, Vec<Value>)> =
             Vec::with_capacity(partial.groups.len());
-        for state in partial.groups.into_values() {
-            let agg_values: Vec<Value> =
-                state.states.iter().map(AggState::finish).collect();
+        for group in partial.groups.into_values() {
+            let aggs: Vec<Value> = group.states.iter().map(AggState::finish).collect();
+            let rep = &group.rep_row;
             let out_row: Vec<Value> = self
-                .query
                 .items
                 .iter()
-                .map(|item| {
-                    eval_with_aggs(
-                        &item.expr,
-                        &self.agg_calls,
-                        &agg_values,
-                        &state.rep_row,
-                        &self.schema,
-                    )
-                })
+                .map(|item| item.value(rep, &aggs).map(Cow::into_owned))
                 .collect::<Result<_>>()?;
-            // HAVING: post-aggregation filter, evaluated with aggregates
-            // substituted (truthy = keep).
-            if let Some(h) = &self.query.having {
-                let v = eval_with_aggs(h, &self.agg_calls, &agg_values, &state.rep_row, &self.schema)?;
-                let keep = matches!(v.as_f64(), Some(f) if f != 0.0);
-                if !keep {
+            // HAVING: post-aggregation filter (only TRUE keeps the group).
+            if let Some(h) = &self.having {
+                if h.pred(rep, &aggs)? != Some(true) {
                     continue;
                 }
             }
-            let sort_key: Vec<Value> = self
-                .query
-                .order_by
-                .iter()
-                .map(|o| {
-                    self.order_value(&o.expr, &out_row, &state.rep_row, &agg_values)
-                })
-                .collect::<Result<_>>()?;
-            keyed_rows.push((sort_key, out_row));
+            keyed_rows.push((sort_key(&self.order, &out_row, rep, &aggs)?, out_row));
         }
         if self.query.distinct {
             dedup_rows(&mut keyed_rows);
         }
         sort_and_trim(&mut keyed_rows, &self.query);
-        Ok(ResultSet { columns, rows: keyed_rows.into_iter().map(|(_, r)| r).collect() })
-    }
-
-    /// Resolve an ORDER BY expression for an aggregated query: alias or
-    /// identical select expression first, else evaluate on the group's
-    /// representative row (with aggregates substituted).
-    fn order_value(
-        &self,
-        expr: &Expr,
-        out_row: &[Value],
-        rep_row: &[Value],
-        agg_values: &[Value],
-    ) -> Result<Value> {
-        if let Expr::Column(name) = expr {
-            if let Some(i) = self
-                .query
-                .items
-                .iter()
-                .position(|it| it.alias.as_deref() == Some(name.as_str()))
-            {
-                return Ok(out_row[i].clone());
-            }
-        }
-        if let Some(i) = self.query.items.iter().position(|it| &it.expr == expr) {
-            return Ok(out_row[i].clone());
-        }
-        eval_with_aggs(expr, &self.agg_calls, agg_values, rep_row, &self.schema)
+        Ok(ResultSet {
+            columns: self.columns.clone(),
+            rows: keyed_rows.into_iter().map(|(_, r)| r).collect(),
+        })
     }
 }
 
-fn collect_agg_calls(expr: &Expr, out: &mut Vec<Expr>) {
+fn collect_agg_calls<'q>(expr: &'q Expr, out: &mut Vec<&'q Expr>) {
     match expr {
         Expr::Agg { .. } => {
-            if !out.contains(expr) {
-                out.push(expr.clone());
+            if !out.contains(&expr) {
+                out.push(expr);
             }
         }
         Expr::Binary { left, right, .. } => {
@@ -476,56 +598,6 @@ fn collect_agg_calls(expr: &Expr, out: &mut Vec<Expr>) {
             }
         }
         Expr::Column(_) | Expr::Literal(_) | Expr::Star => {}
-    }
-}
-
-/// Evaluate an expression substituting aggregate calls with finished values.
-fn eval_with_aggs(
-    expr: &Expr,
-    agg_calls: &[Expr],
-    agg_values: &[Value],
-    rep_row: &[Value],
-    schema: &Schema,
-) -> Result<Value> {
-    if let Some(i) = agg_calls.iter().position(|c| c == expr) {
-        return Ok(agg_values[i].clone());
-    }
-    match expr {
-        Expr::Binary { op, left, right } => {
-            let substituted = Expr::Binary {
-                op: *op,
-                left: Box::new(substitute(left, agg_calls, agg_values)),
-                right: Box::new(substitute(right, agg_calls, agg_values)),
-            };
-            eval(&substituted, rep_row, schema)
-        }
-        Expr::Func { name, args } => {
-            let vals: Vec<Value> = args
-                .iter()
-                .map(|a| eval_with_aggs(a, agg_calls, agg_values, rep_row, schema))
-                .collect::<Result<_>>()?;
-            eval_scalar(name, &vals)
-        }
-        other => eval(other, rep_row, schema),
-    }
-}
-
-/// Replace aggregate sub-expressions with literal finished values.
-fn substitute(expr: &Expr, agg_calls: &[Expr], agg_values: &[Value]) -> Expr {
-    if let Some(i) = agg_calls.iter().position(|c| c == expr) {
-        return Expr::Literal(agg_values[i].clone());
-    }
-    match expr {
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(substitute(left, agg_calls, agg_values)),
-            right: Box::new(substitute(right, agg_calls, agg_values)),
-        },
-        Expr::Func { name, args } => Expr::Func {
-            name: name.clone(),
-            args: args.iter().map(|a| substitute(a, agg_calls, agg_values)).collect(),
-        },
-        other => other.clone(),
     }
 }
 
@@ -569,12 +641,13 @@ pub fn execute_with_where(
     where_clause: Option<&Expr>,
     rows: impl Iterator<Item = Result<Vec<Value>>>,
 ) -> Result<ResultSet> {
+    let filter = where_clause.map(|w| BoundExpr::new(w, schema));
     if query.is_aggregate() {
         let agg = Aggregator::new(query, schema)?;
         let mut partial = agg.make_partial();
         for row in rows {
             let row = row?;
-            if passes(where_clause, &row, schema)? {
+            if passes(filter.as_ref(), &row)? {
                 agg.update(&mut partial, &row)?;
             }
         }
@@ -587,27 +660,27 @@ pub fn execute_with_where(
     } else {
         query.items.iter().map(SelectItem::output_name).collect()
     };
+    let items: Vec<Node> = if has_star {
+        Vec::new()
+    } else {
+        query.items.iter().map(|i| Node::bind(&i.expr, schema, &[])).collect()
+    };
+    let order = bind_order(query, schema, &[]);
     let mut keyed_rows: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
     for row in rows {
         let row = row?;
-        if !passes(where_clause, &row, schema)? {
+        if !passes(filter.as_ref(), &row)? {
             continue;
         }
-        let out_row: Vec<Value> = if has_star {
-            row.clone()
+        if has_star {
+            keyed_rows.push((sort_key(&order, &row, &row, &[])?, row));
         } else {
-            query
-                .items
+            let out_row: Vec<Value> = items
                 .iter()
-                .map(|i| eval(&i.expr, &row, schema))
-                .collect::<Result<_>>()?
-        };
-        let sort_key: Vec<Value> = query
-            .order_by
-            .iter()
-            .map(|o| order_value_plain(query, &o.expr, &out_row, &row, schema))
-            .collect::<Result<_>>()?;
-        keyed_rows.push((sort_key, out_row));
+                .map(|item| item.value(&row, &[]).map(Cow::into_owned))
+                .collect::<Result<_>>()?;
+            keyed_rows.push((sort_key(&order, &out_row, &row, &[])?, out_row));
+        }
     }
     if query.distinct {
         dedup_rows(&mut keyed_rows);
@@ -620,32 +693,6 @@ pub fn execute_with_where(
 fn dedup_rows(keyed_rows: &mut Vec<(Vec<Value>, Vec<Value>)>) {
     let mut seen: std::collections::HashSet<Vec<Value>> = std::collections::HashSet::new();
     keyed_rows.retain(|(_, row)| seen.insert(row.clone()));
-}
-
-fn order_value_plain(
-    query: &Query,
-    expr: &Expr,
-    out_row: &[Value],
-    row: &[Value],
-    schema: &Schema,
-) -> Result<Value> {
-    if let Expr::Column(name) = expr {
-        if let Some(i) = query
-            .items
-            .iter()
-            .position(|it| it.alias.as_deref() == Some(name.as_str()))
-        {
-            return Ok(out_row[i].clone());
-        }
-    }
-    eval(expr, row, schema)
-}
-
-fn passes(where_clause: Option<&Expr>, row: &[Value], schema: &Schema) -> Result<bool> {
-    match where_clause {
-        None => Ok(true),
-        Some(w) => Ok(eval_pred(w, row, schema)? == Some(true)),
-    }
 }
 
 #[cfg(test)]
@@ -804,6 +851,7 @@ mod tests {
         let single = execute(&q, &schema, rows().into_iter().map(Ok)).unwrap();
 
         let agg = Aggregator::new(&q, &schema).unwrap();
+        let filter = q.where_clause.as_ref().map(|w| BoundExpr::new(w, &schema));
         // Split rows into 2 partitions, update separately, merge, finalize.
         let all = rows();
         let mut merged = agg.make_partial();
@@ -811,7 +859,7 @@ mod tests {
             let mut partial = agg.make_partial();
             for row in part {
                 // WHERE applied before partial agg, as workers do.
-                if passes(q.where_clause.as_ref(), row, &schema).unwrap() {
+                if passes(filter.as_ref(), row).unwrap() {
                     agg.update(&mut partial, row).unwrap();
                 }
             }
@@ -967,5 +1015,129 @@ mod empty_aggregate_tests {
         let q = parse("SELECT count(*) as n FROM t WHERE x > 100").unwrap();
         let rs = execute(&q, &schema, vec![Ok(vec![Value::Int(1)])].into_iter()).unwrap();
         assert_eq!(rs.rows[0][0], Value::Int(0));
+    }
+}
+
+#[cfg(test)]
+mod bound_aggregate_tests {
+    use super::*;
+    use crate::parser::parse;
+    use scoop_csv::schema::{DataType, Field};
+
+    fn schema() -> Schema {
+        Schema::new(vec![
+            Field::new("vid", DataType::Str),
+            Field::new("city", DataType::Str),
+            Field::new("index", DataType::Float),
+        ])
+    }
+
+    /// Sums per vid: a = 3, b = 4, c = 6, d = NULL.
+    fn rows() -> Vec<Vec<Value>> {
+        let mk = |vid: &str, city: &str, idx: Option<f64>| {
+            vec![
+                Value::Str(vid.into()),
+                Value::Str(city.into()),
+                idx.map(Value::Float).unwrap_or(Value::Null),
+            ]
+        };
+        vec![
+            mk("a", "Rotterdam", Some(1.0)),
+            mk("b", "Paris", Some(4.0)),
+            mk("a", "Rotterdam", Some(2.0)),
+            mk("c", "Paris", Some(3.0)),
+            mk("d", "Nice", None),
+            mk("c", "Paris", Some(3.0)),
+        ]
+    }
+
+    fn run(sql: &str) -> Vec<Vec<Value>> {
+        let q = parse(sql).unwrap();
+        execute(&q, &schema(), rows().into_iter().map(Ok)).unwrap().rows
+    }
+
+    fn row(vid: &str, sum: Option<f64>) -> Vec<Value> {
+        vec![Value::Str(vid.into()), sum.map(Value::Float).unwrap_or(Value::Null)]
+    }
+
+    #[test]
+    fn having_with_aggregate_under_not_in_is_null_and_like() {
+        let base = "SELECT vid, sum(index) AS s FROM t GROUP BY vid";
+        assert_eq!(
+            run(&format!("{base} HAVING NOT sum(index) > 5 ORDER BY vid")),
+            vec![row("a", Some(3.0)), row("b", Some(4.0))]
+        );
+        assert_eq!(
+            run(&format!("{base} HAVING sum(index) IN (3, 4) ORDER BY vid")),
+            vec![row("a", Some(3.0)), row("b", Some(4.0))]
+        );
+        assert_eq!(
+            run(&format!("{base} HAVING sum(index) IS NOT NULL ORDER BY vid")),
+            vec![row("a", Some(3.0)), row("b", Some(4.0)), row("c", Some(6.0))]
+        );
+        assert_eq!(
+            run(&format!("{base} HAVING sum(index) IS NULL")),
+            vec![row("d", None)]
+        );
+        assert_eq!(
+            run(&format!("{base} HAVING min(city) LIKE 'P%' ORDER BY vid")),
+            vec![row("b", Some(4.0)), row("c", Some(6.0))]
+        );
+    }
+
+    #[test]
+    fn order_by_aggregate_under_not() {
+        // NOT sum > 5: d NULL, c FALSE (0), a and b TRUE (1); NULLs sort first.
+        assert_eq!(
+            run("SELECT vid, sum(index) AS s FROM t GROUP BY vid ORDER BY NOT sum(index) > 5, vid"),
+            vec![row("d", None), row("c", Some(6.0)), row("a", Some(3.0)), row("b", Some(4.0))]
+        );
+    }
+
+    #[test]
+    fn order_by_alias_and_repeated_item_use_the_output_row() {
+        assert_eq!(
+            run("SELECT vid, sum(index) AS s FROM t GROUP BY vid HAVING sum(index) IS NOT NULL ORDER BY s DESC"),
+            vec![row("c", Some(6.0)), row("b", Some(4.0)), row("a", Some(3.0))]
+        );
+        assert_eq!(
+            run("SELECT vid, index * 2 FROM t WHERE vid = 'a' ORDER BY index * 2 DESC"),
+            vec![
+                vec![Value::Str("a".into()), Value::Float(4.0)],
+                vec![Value::Str("a".into()), Value::Float(2.0)],
+            ]
+        );
+    }
+
+    /// Bind errors surface only when a row is evaluated, with the message
+    /// of the failing name lookup or context check; a query that reads no
+    /// row still succeeds.
+    #[test]
+    fn bind_errors_are_deferred_to_the_first_evaluated_row() {
+        let schema = schema();
+        let unknown = schema.resolve("ghost").unwrap_err().to_string();
+        let outside = "sql error: aggregate used outside aggregation context";
+        for (sql, msg) in [
+            ("SELECT ghost FROM t", unknown.as_str()),
+            ("SELECT vid FROM t WHERE ghost > 1", unknown.as_str()),
+            ("SELECT vid FROM t ORDER BY ghost", unknown.as_str()),
+            ("SELECT vid FROM t WHERE sum(index) > 1", outside),
+            ("SELECT vid, count(*) FROM t GROUP BY vid HAVING ghost > 1", unknown.as_str()),
+            ("SELECT count(*) FROM t GROUP BY sum(index)", outside),
+            ("SELECT vid, sum(sum(index)) FROM t GROUP BY vid", outside),
+        ] {
+            let q = parse(sql).unwrap();
+            let empty = execute(&q, &schema, std::iter::empty());
+            assert!(empty.is_ok(), "{sql}: zero rows must succeed, got {empty:?}");
+            let err = execute(&q, &schema, rows().into_iter().map(Ok)).unwrap_err();
+            assert_eq!(err.to_string(), msg, "{sql}");
+        }
+        // `*` outside COUNT(*): binding succeeds, evaluating fails.
+        let star = BoundExpr::new(&Expr::Star, &schema);
+        assert_eq!(
+            star.eval(&rows()[0]).unwrap_err().to_string(),
+            "sql error: '*' outside COUNT(*)"
+        );
+        assert!(eval_pred(&Expr::Star, &rows()[0], &schema).is_err());
     }
 }

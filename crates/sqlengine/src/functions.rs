@@ -23,9 +23,13 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
             if s.is_null() || start.is_null() || len.is_null() {
                 return Ok(Value::Null);
             }
+            let owned;
             let text = match s {
-                Value::Str(t) => t.clone(),
-                other => other.to_string().into(),
+                Value::Str(t) => t.as_str(),
+                other => {
+                    owned = other.to_string();
+                    owned.as_str()
+                }
             };
             let start = start
                 .as_f64()
@@ -35,19 +39,7 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
                 .as_f64()
                 .ok_or_else(|| ScoopError::Sql("substring length must be numeric".into()))?
                 as i64;
-            // Spark: 1-based, start 0 behaves like 1; negative counts from end.
-            let chars: Vec<char> = text.chars().collect();
-            let n = chars.len() as i64;
-            let begin = if start > 0 {
-                start - 1
-            } else if start == 0 {
-                0
-            } else {
-                (n + start).max(0)
-            };
-            let begin = begin.clamp(0, n) as usize;
-            let take = len.max(0) as usize;
-            Ok(Value::Str(chars[begin..].iter().take(take).collect::<String>().into()))
+            Ok(Value::Str(substring(text, start, len).into()))
         }
         "upper" => unary_str(name, args, |s| s.to_uppercase()),
         "lower" => unary_str(name, args, |s| s.to_lowercase()),
@@ -114,6 +106,32 @@ pub fn eval_scalar(name: &str, args: &[Value]) -> Result<Value> {
         "day" => date_part(args, 8, 2),
         other => Err(ScoopError::Sql(format!("unknown function '{other}'"))),
     }
+}
+
+/// Spark `SUBSTRING` over chars: 1-based, a start of 0 behaves like 1, a
+/// negative start counts from the end, a negative length takes nothing.
+/// ASCII text is sliced by byte offset; other text maps char offsets to
+/// byte offsets in place. Borrows from `text`.
+fn substring(text: &str, start: i64, len: i64) -> &str {
+    let ascii = text.is_ascii();
+    let n = if ascii { text.len() } else { text.chars().count() } as i64;
+    let begin = if start > 0 {
+        start - 1
+    } else if start == 0 {
+        0
+    } else {
+        (n + start).max(0)
+    }
+    .clamp(0, n);
+    let end = begin.saturating_add(len.max(0)).min(n);
+    let byte = |chars: i64| {
+        if ascii {
+            chars as usize
+        } else {
+            text.char_indices().nth(chars as usize).map_or(text.len(), |(b, _)| b)
+        }
+    };
+    &text[byte(begin)..byte(end)]
 }
 
 fn unary_str(name: &str, args: &[Value], f: impl Fn(&str) -> String) -> Result<Value> {
@@ -313,6 +331,44 @@ mod tests {
             eval_scalar("substring", &[d, Value::Int(100), Value::Int(5)]).unwrap(),
             s("")
         );
+    }
+
+    /// Reference: collect chars, then skip and take.
+    fn substring_by_chars(text: &str, start: i64, len: i64) -> String {
+        let chars: Vec<char> = text.chars().collect();
+        let n = chars.len() as i64;
+        let begin = if start > 0 {
+            start - 1
+        } else if start == 0 {
+            0
+        } else {
+            (n + start).max(0)
+        };
+        let begin = begin.clamp(0, n) as usize;
+        chars[begin..].iter().take(len.max(0) as usize).collect()
+    }
+
+    #[test]
+    fn substring_slicing_matches_char_semantics() {
+        let texts = ["", "a", "2015-01-03 10:20:00", "café au lait", "日本語テキスト", "x日y"];
+        let starts = [i64::MIN, -100, -20, -5, -1, 0, 1, 2, 5, 19, 20, 100, i64::MAX];
+        let lens = [i64::MIN, -5, -1, 0, 1, 3, 7, 100, i64::MAX];
+        for text in texts {
+            for start in starts {
+                for len in lens {
+                    let got = eval_scalar(
+                        "substring",
+                        &[s(text), Value::Int(start), Value::Int(len)],
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        got,
+                        s(&substring_by_chars(text, start, len)),
+                        "SUBSTRING({text:?}, {start}, {len})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
